@@ -50,7 +50,6 @@ from .phy import (
 )
 from .simulation import (
     MetricsLog,
-    PacketRecord,
     ScenarioConfig,
     Summary,
     latency_series,

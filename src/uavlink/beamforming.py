@@ -1,5 +1,6 @@
-"""Uniform planar arrays, DFT beam codebooks, exhaustive beam-pair search,
-and the periodic tracking loop that holds a stale pair between updates."""
+"""Uniform planar arrays, DFT beam codebooks, the best beam pair (the nearest
+DFT bin per axis), and the periodic tracking loop that holds a stale pair
+between updates."""
 
 from __future__ import annotations
 
@@ -105,35 +106,6 @@ def beam_gain_db(array: ArrayConfig, beam: Beam, geom: Geometry) -> float:
     return 10.0 * math.log10(max(g, GAIN_FLOOR_LINEAR))
 
 
-def _dirichlet_mag(x: float, n: int) -> float:
-    """|sum_{p=0}^{n-1} exp(j 2 pi p x)| via the closed-form kernel."""
-    xm = x - round(x)
-    if abs(xm) < _GRID_TOL:
-        return float(n)
-    return abs(math.sin(math.pi * n * xm) / math.sin(math.pi * xm))
-
-
-def _beam_gain_lin(array: ArrayConfig, k: int, l: int, cy: float, cz: float) -> float:
-    """Linear gain N |<w_kl, v(cy, cz)>|^2, factorized over the two axes."""
-    dh = _dirichlet_mag(array.spacing * cy - k / array.n_h, array.n_h)
-    dv = _dirichlet_mag(array.spacing * cz - l / array.n_v, array.n_v)
-    return (dh * dv) ** 2 / array.size
-
-
-def _codebook_gains_lin(array: ArrayConfig, cy: float, cz: float) -> list[float]:
-    """Linear gains of every codebook beam toward (cy, cz), in index order."""
-    dh = [
-        _dirichlet_mag(array.spacing * cy - k / array.n_h, array.n_h)
-        for k in range(array.n_h)
-    ]
-    dv = [
-        _dirichlet_mag(array.spacing * cz - l / array.n_v, array.n_v)
-        for l in range(array.n_v)
-    ]
-    n = array.size
-    return [(a * b) ** 2 / n for a in dh for b in dv]
-
-
 def best_beam_pair(
     bs_array: ArrayConfig,
     uav_array: ArrayConfig,
@@ -141,43 +113,43 @@ def best_beam_pair(
     uav_geom: Geometry,
     t: float,
 ) -> BeamPair:
-    """Exhaustive search over all tx/rx beam pairs for the largest combined gain.
+    """The tx/rx beam pair with the largest combined gain over both codebooks.
 
-    Uplink: the UAV transmits, the BS receives. Ties break toward the lowest
-    (tx index, rx index) pair, which makes the selection deterministic.
+    Uplink: the UAV transmits, the BS receives. The combined gain is the
+    product of one gain per side, so each side's best beam is found on its
+    own, as its nearest DFT bin (see :func:`_nearest_beam`). A direction
+    exactly half a bin between two beams ties them; it goes to the even bin
+    (``round`` halves to even), taken modulo the axis size.
     """
-    ti, ri = _best_pair_indices(
-        bs_array, uav_array, bs_geom.cosines(), uav_geom.cosines()
-    )
     return BeamPair(
-        tx_beam=dft_codebook(uav_array)[ti],
-        rx_beam=dft_codebook(bs_array)[ri],
+        tx_beam=_nearest_beam(uav_array, uav_geom.cosines()),
+        rx_beam=_nearest_beam(bs_array, bs_geom.cosines()),
         selected_at=t,
     )
 
 
-def _best_pair_indices(
-    bs_array: ArrayConfig,
-    uav_array: ArrayConfig,
-    bs_cos: tuple[float, float],
-    uav_cos: tuple[float, float],
-) -> tuple[int, int]:
-    tx_gains = _codebook_gains_lin(uav_array, *uav_cos)
-    rx_gains = _codebook_gains_lin(bs_array, *bs_cos)
-    # Combined gain in dB is monotone in the product of the linear gains, and
-    # both factors are non-negative, so the first per-side maxima give the
-    # row-major-first (lowest tx, then rx) maximizer over all pairs.
-    return tx_gains.index(max(tx_gains)), rx_gains.index(max(rx_gains))
+def _nearest_beam(array: ArrayConfig, cos: tuple[float, float]) -> Beam:
+    """The codebook beam whose DFT bin is nearest the direction on each axis.
+
+    A beam's linear gain is a product of one Dirichlet kernel per axis,
+    |sin(pi n x) / sin(pi x)|, in the offset x = spacing * c - k / n (mod 1)
+    of the direction cosine c from bin k. For |x| <= 1/2n the kernel is at
+    least 1/sin(pi / 2n) and elsewhere at most that, so the nearest bin,
+    round(n * spacing * c) mod n, is the exhaustive-search optimum per axis.
+    """
+    k = round(array.n_h * array.spacing * cos[0]) % array.n_h
+    l = round(array.n_v * array.spacing * cos[1]) % array.n_v
+    return dft_codebook(array)[k * array.n_v + l]
 
 
 class BeamTracker:
     """Periodic beam-pair tracking with stale beams between updates.
 
     At every multiple of the update period the pair is refreshed to the
-    exhaustive-search optimum for the instantaneous geometry (genie-aided, no
-    sweep airtime); between updates the stored pair is evaluated against the
-    true geometry, so motion shows up as misalignment loss. Query times must
-    be non-decreasing.
+    exhaustive-search optimum for the instantaneous geometry, computed as the
+    nearest DFT bin per axis (genie-aided, no sweep airtime); between updates
+    the stored pair is evaluated against the true geometry, so motion shows up
+    as misalignment loss. Query times must be non-decreasing.
     """
 
     def __init__(
@@ -221,9 +193,8 @@ class BeamTracker:
         """Linear (tx, rx) gains; refreshes the pair on update-period boundaries."""
         epoch = math.floor(t / self.update_period + 1e-9)
         if epoch > self._epoch or self.pair is None:
-            ti, ri = _best_pair_indices(self.bs_array, self.uav_array, bs_cos, uav_cos)
-            tx = dft_codebook(self.uav_array)[ti]
-            rx = dft_codebook(self.bs_array)[ri]
+            tx = _nearest_beam(self.uav_array, uav_cos)
+            rx = _nearest_beam(self.bs_array, bs_cos)
             self.pair = BeamPair(tx_beam=tx, rx_beam=rx, selected_at=epoch * self.update_period)
             self._epoch = epoch
             self._tx_off = tx.k / self.uav_array.n_h

@@ -276,20 +276,34 @@ def write_report_csv(rows, path) -> None:
 
 
 def read_report_csv(path) -> list[ReportRow]:
+    """Rows of a summary.csv written by :func:`write_report_csv`.
+
+    Raises ValueError, naming the file and line, on a foreign header or a
+    malformed row.
+    """
     rows = []
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(
-                ReportRow(
-                    mission=rec["mission"],
-                    profile=rec["profile"],
-                    antennas=rec["antennas"],
-                    rate_mbps=float(rec["rate_mbps"]),
-                    placement=rec["placement"],
-                    throughput_mbps=float(rec["throughput_mbps"]),
-                    mean_latency_ms=float(rec["mean_latency_ms"]),
-                    p99_latency_ms=float(rec["p99_latency_ms"]),
-                    loss_frac=float(rec["loss_frac"]),
-                )
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != list(REPORT_CSV_HEADER):
+            raise ValueError(
+                f"{path}: expected header {','.join(REPORT_CSV_HEADER)}, "
+                f"got {reader.fieldnames}"
             )
+        for lineno, rec in enumerate(reader, start=2):
+            try:
+                rows.append(
+                    ReportRow(
+                        mission=rec["mission"],
+                        profile=rec["profile"],
+                        antennas=rec["antennas"],
+                        rate_mbps=float(rec["rate_mbps"]),
+                        placement=rec["placement"],
+                        throughput_mbps=float(rec["throughput_mbps"]),
+                        mean_latency_ms=float(rec["mean_latency_ms"]),
+                        p99_latency_ms=float(rec["p99_latency_ms"]),
+                        loss_frac=float(rec["loss_frac"]),
+                    )
+                )
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return rows

@@ -77,21 +77,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> None:
+def _apply_config_file(path: str, parser: argparse.ArgumentParser) -> None:
     """Let an INI [scenario] section provide defaults that flags override."""
-    if "--config" not in argv:
-        return
-    path = argv[argv.index("--config") + 1]
     ini = configparser.ConfigParser()
-    if not ini.read(path):
-        raise SystemExit(f"config file not found: {path}")
+    try:
+        found = ini.read(path)
+    except configparser.Error as exc:
+        raise ValueError(f"config file {path}: {exc}") from None
+    if not found:
+        raise ValueError(f"config file not found: {path}")
     if "scenario" not in ini:
-        raise SystemExit(f"config file {path} lacks a [scenario] section")
-    defaults = {key.replace("-", "_"): value for key, value in ini["scenario"].items()}
+        raise ValueError(f"config file {path} lacks a [scenario] section")
     sim = parser.simulate_parser
-    for action in sim._actions:
-        if action.dest in defaults and action.type is not None:
-            defaults[action.dest] = action.type(defaults[action.dest])
+    actions = {a.dest: a for a in sim._actions if a.dest not in ("help", "config")}
+    defaults = {}
+    for key, value in ini["scenario"].items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise ValueError(f"config file {path}: unknown key {key!r} in [scenario]")
+        try:
+            defaults[action.dest] = action.type(value) if action.type is not None else value
+        except ValueError:
+            raise ValueError(f"config file {path}: bad value {value!r} for {key!r}") from None
     sim.set_defaults(**defaults)
 
 
@@ -180,7 +187,6 @@ def cmd_report(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    _apply_config_file(argv, parser)
     args = parser.parse_args(argv)
     handlers = {
         "synth-trace": cmd_synth_trace,
@@ -189,6 +195,9 @@ def main(argv: list[str] | None = None) -> int:
         "report": cmd_report,
     }
     try:
+        if getattr(args, "config", None) is not None:
+            _apply_config_file(args.config, parser)
+            args = parser.parse_args(argv)  # explicit flags win over the file
         return handlers[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

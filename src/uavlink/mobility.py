@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -186,30 +185,15 @@ def state_at(trace: FlightTrace, t: float) -> MobilityState:
     Outside the trace span the position clamps to the nearest endpoint with
     zero velocity.
     """
-    pts = trace.points
-    if t < pts[0].t:
-        p = pts[0]
-        return MobilityState((p.x, p.y, p.z), (0.0, 0.0, 0.0))
-    if t >= pts[-1].t:
-        p = pts[-1]
-        return MobilityState((p.x, p.y, p.z), (0.0, 0.0, 0.0))
-    times = [p.t for p in pts]
-    i = bisect_right(times, t) - 1
-    a, b = pts[i], pts[i + 1]
-    inv_dt = 1.0 / (b.t - a.t)
-    vx = (b.x - a.x) * inv_dt
-    vy = (b.y - a.y) * inv_dt
-    vz = (b.z - a.z) * inv_dt
-    dt = t - a.t
-    return MobilityState(
-        (a.x + vx * dt, a.y + vy * dt, a.z + vz * dt), (vx, vy, vz)
-    )
+    t0, x0, y0, z0, vx, vy, vz, _ = TrajectorySampler(trace).segment(t)
+    dt = t - t0
+    return MobilityState((x0 + vx * dt, y0 + vy * dt, z0 + vz * dt), (vx, vy, vz))
 
 
 class TrajectorySampler:
     """Cursor over a trace for monotonically increasing query times.
 
-    Matches :func:`state_at` exactly but amortizes the segment lookup and
+    The one trajectory interpolator: it amortizes the segment lookup and
     exposes the active segment's linear parameters, so a caller sampling every
     slot can interpolate with three multiply-adds until ``t_end`` passes.
     """
@@ -251,9 +235,3 @@ class TrajectorySampler:
             (b.z - a.z) * inv_dt,
             b.t,
         )
-
-    def state(self, t: float) -> tuple[float, float, float, float, float, float]:
-        """Return (x, y, z, vx, vy, vz) at time ``t`` (non-decreasing calls)."""
-        t0, x0, y0, z0, vx, vy, vz, _ = self.segment(t)
-        dt = t - t0
-        return x0 + vx * dt, y0 + vy * dt, z0 + vz * dt, vx, vy, vz

@@ -3,7 +3,6 @@ the mmWave and LTE-class radio profiles."""
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -25,8 +24,6 @@ BLER_MAX = 1.0 - 1e-6
 # Peak PHY rates the per-profile overhead factors are calibrated against.
 MMWAVE_PEAK_RATE = 3.2e9  # b/s at 1 GHz and the top MCS
 LTE_PEAK_RATE = 75.2e6  # b/s at 20 MHz and the top MCS
-
-MCS_CSV_HEADER = ("index", "mod_order", "code_rate", "se", "snr_threshold_db")
 
 
 @dataclass(frozen=True)
@@ -214,48 +211,3 @@ def profile_by_name(name: str) -> RatProfile:
         return factories[name]()
     except KeyError:
         raise ValueError(f"unknown profile {name!r}, expected mmwave or lte") from None
-
-
-def write_mcs_csv(table, path) -> None:
-    """Dump an MCS table so tests and configs can pin it bit-exactly."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MCS_CSV_HEADER)
-        for e in table:
-            writer.writerow(
-                [
-                    e.index,
-                    e.modulation_order,
-                    repr(e.code_rate),
-                    repr(e.spectral_efficiency),
-                    repr(e.snr_threshold),
-                ]
-            )
-
-
-def read_mcs_csv(path) -> tuple[McsEntry, ...]:
-    entries = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            entries.append(
-                McsEntry(
-                    index=int(row["index"]),
-                    modulation_order=int(row["mod_order"]),
-                    code_rate=float(row["code_rate"]),
-                    spectral_efficiency=float(row["se"]),
-                    snr_threshold=float(row["snr_threshold_db"]),
-                )
-            )
-    validate_mcs_table(entries)
-    return tuple(entries)
-
-
-def validate_mcs_table(table) -> None:
-    if not table:
-        raise ValueError("empty MCS table")
-    for a, b in zip(table, table[1:]):
-        if b.snr_threshold <= a.snr_threshold:
-            raise ValueError(
-                f"thresholds not strictly increasing at index {b.index}"
-            )

@@ -20,9 +20,10 @@ from .beamforming import (
     array_basis,
 )
 from .channel import (
-    SPEED_OF_LIGHT,
     ChannelSample,
     ShadowingField,
+    doppler_shift,
+    fspl_db,
     noise_floor_dbm,
 )
 from .mobility import FlightTrace, TrajectorySampler
@@ -42,15 +43,6 @@ PACKET_CSV_HEADER = ("seq", "t_gen_s", "t_deliver_s", "size_bits", "outcome")
 SNR_CSV_HEADER = ("t_s", "distance_m", "snr_db", "tx_gain_db", "rx_gain_db")
 
 _T_EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class PacketRecord:
-    seq: int
-    size_bits: int
-    t_gen: float
-    t_deliver: float | None
-    outcome: str
 
 
 @dataclass
@@ -73,16 +65,16 @@ class ScenarioConfig:
     snr_sample_interval: float = DEFAULT_SNR_SAMPLE_INTERVAL  # s
 
     def __post_init__(self):
-        if self.source_rate <= 0:
-            raise ValueError("source_rate must be positive")
+        if not (math.isfinite(self.source_rate) and self.source_rate > 0):
+            raise ValueError(f"source_rate must be positive and finite, got {self.source_rate}")
         if self.payload <= 0:
             raise ValueError("payload must be positive")
         if self.header_overhead < 0:
             raise ValueError("header_overhead must be non-negative")
         if self.buffer_limit <= 0:
             raise ValueError("buffer_limit must be positive")
-        if self.sim_window < 0:
-            raise ValueError("sim_window must be non-negative")
+        if not (math.isfinite(self.sim_window) and self.sim_window >= 0):
+            raise ValueError(f"sim_window must be non-negative and finite, got {self.sim_window}")
         if self.snr_sample_interval <= 0:
             raise ValueError("snr_sample_interval must be positive")
         if self.bs_position is None:
@@ -108,23 +100,6 @@ class MetricsLog:
     @property
     def n_packets(self) -> int:
         return int(self.t_gen.shape[0])
-
-    @property
-    def packets(self) -> list[PacketRecord]:
-        """Materialized per-packet records; prefer the columns for large runs."""
-        out = []
-        for i in range(self.n_packets):
-            td = float(self.t_deliver[i])
-            out.append(
-                PacketRecord(
-                    seq=i,
-                    size_bits=int(self.size_bits[i]),
-                    t_gen=float(self.t_gen[i]),
-                    t_deliver=None if math.isnan(td) else td,
-                    outcome=OUTCOME_NAMES[int(self.outcome[i])],
-                )
-            )
-        return out
 
     @property
     def summary(self) -> "Summary":
@@ -198,9 +173,7 @@ def run(config: ScenarioConfig) -> MetricsLog:
     link = prof.link
     nf = noise_floor_dbm(link.bandwidth, link.noise_figure)
     fc = link.carrier_freq
-    fc_db = 20.0 * math.log10(fc)
-    snr_const = link.tx_power - 32.4 - fc_db - nf
-    doppler_scale = fc * 1e9 / SPEED_OF_LIGHT
+    tx_power = link.tx_power
 
     record_every = max(1, round(config.snr_sample_interval / slot))
 
@@ -259,29 +232,27 @@ def run(config: ScenarioConfig) -> MetricsLog:
         gtx, grx = gains_at(t, (bs_cy, bs_cz), (uav_cy, uav_cz))
         sh = sample_shadow(x, y, z)
 
-        d_clamped = dist if dist > 1.0 else 1.0
-        gain_prod = gtx * grx
-        if gain_prod < 1e-24:
-            gain_prod = 1e-24
-        snr = snr_const + 10.0 * log10(gain_prod) - 20.0 * log10(d_clamped) - sh
+        # The one link budget of the slot: it drives the MCS and the BLER and
+        # is what a recorded sample logs.
+        tx_db = 10.0 * log10(gtx if gtx > GAIN_FLOOR_LINEAR else GAIN_FLOOR_LINEAR)
+        rx_db = 10.0 * log10(grx if grx > GAIN_FLOOR_LINEAR else GAIN_FLOOR_LINEAR)
+        pl = fspl_db(dist, fc)
+        snr = tx_power + tx_db + rx_db - pl - sh - nf
 
         if s % record_every == 0:
             closing = (vx * dx + vy * dy + vz * dz) * inv
-            tx_db = 10.0 * log10(max(gtx, GAIN_FLOOR_LINEAR))
-            rx_db = 10.0 * log10(max(grx, GAIN_FLOOR_LINEAR))
-            pl = 32.4 + 20.0 * log10(d_clamped) + fc_db
             samples.append(
                 ChannelSample(
                     t=t,
                     distance_3d=dist,
                     pathloss=pl,
                     shadowing=sh,
-                    doppler_shift=closing * doppler_scale,
+                    doppler_shift=doppler_shift(closing, fc),
                     tx_gain=tx_db,
                     rx_gain=rx_db,
-                    tx_power=link.tx_power,
+                    tx_power=tx_power,
                     noise_floor=nf,
-                    snr=link.tx_power + tx_db + rx_db - pl - sh - nf,
+                    snr=snr,
                 )
             )
 

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from uavlink.beamforming import (
+    DEFAULT_UPDATE_PERIOD,
     ArrayConfig,
     BeamTracker,
     Geometry,
-    _beam_gain_lin,
     array_basis,
     beam_gain_db,
     best_beam_pair,
@@ -104,15 +104,20 @@ class TestBeamGain:
         assert beam_gain_db(arr, beams[5], BORESIGHT) <= -60.0
 
     def test_fast_path_matches_inner_product(self):
+        # The tracker's per-slot kernel against N |<w, v>|^2 of its stored
+        # pair, at a geometry other than the one the pair was refreshed at.
         rng = random.Random(4)
-        for arr in (ArrayConfig(8, 8), ArrayConfig(4, 4), ArrayConfig(2, 2), ArrayConfig(1, 1)):
+        for arr in (ArrayConfig(8, 8), ArrayConfig(4, 4), ArrayConfig(2, 2), ArrayConfig(1, 1),
+                    ArrayConfig(3, 3, 0.7), ArrayConfig(5, 1, 0.3)):
             for _ in range(30):
-                geom = random_geometry(rng)
-                v = steering_vector(arr, geom)
-                cy, cz = geom.cosines()
-                for beam in dft_codebook(arr):
-                    direct = arr.size * abs(np.vdot(beam.weights, v)) ** 2
-                    fast = _beam_gain_lin(arr, beam.k, beam.l, cy, cz)
+                tracker = BeamTracker(arr, arr)
+                tracker.gains_at_cosines(0.0, random_geometry(rng).cosines(),
+                                         random_geometry(rng).cosines())
+                bs_geom, uav_geom = random_geometry(rng), random_geometry(rng)
+                tx, rx = tracker.gains_at_cosines(1e-3, bs_geom.cosines(), uav_geom.cosines())
+                pair = tracker.pair
+                for fast, beam, geom in ((tx, pair.tx_beam, uav_geom), (rx, pair.rx_beam, bs_geom)):
+                    direct = arr.size * abs(np.vdot(beam.weights, steering_vector(arr, geom))) ** 2
                     assert fast == pytest.approx(direct, abs=1e-9)
 
 
@@ -157,16 +162,40 @@ class TestBestBeamPair:
             assert (p1.tx_beam.index, p1.rx_beam.index) == (p2.tx_beam.index, p2.rx_beam.index)
 
     def test_beats_every_other_pair(self):
+        # Brute force over every tx/rx pair pins the closed-form search, also
+        # for odd arrays and spacings other than half a wavelength.
         rng = random.Random(6)
-        bs, uav = ArrayConfig(2, 2), ArrayConfig(2, 1)
-        for _ in range(10):
-            bg, ug = random_geometry(rng), random_geometry(rng)
-            pair = best_beam_pair(bs, uav, bg, ug, 0.0)
-            best = beam_gain_db(uav, pair.tx_beam, ug) + beam_gain_db(bs, pair.rx_beam, bg)
-            for tb in dft_codebook(uav):
-                for rb in dft_codebook(bs):
-                    other = beam_gain_db(uav, tb, ug) + beam_gain_db(bs, rb, bg)
-                    assert other <= best + 1e-9
+        combos = (
+            (ArrayConfig(2, 2), ArrayConfig(2, 1)),
+            (ArrayConfig(8, 8), ArrayConfig(4, 4)),
+            (ArrayConfig(3, 3, 0.7), ArrayConfig(5, 1, 0.3)),
+            (ArrayConfig(5, 1, 0.3), ArrayConfig(3, 3, 0.7)),
+        )
+        for bs, uav in combos:
+            for _ in range(10):
+                bg, ug = random_geometry(rng), random_geometry(rng)
+                pair = best_beam_pair(bs, uav, bg, ug, 0.0)
+                best = beam_gain_db(uav, pair.tx_beam, ug) + beam_gain_db(bs, pair.rx_beam, bg)
+                rx_gains = [beam_gain_db(bs, rb, bg) for rb in dft_codebook(bs)]
+                for tb in dft_codebook(uav):
+                    tx_gain = beam_gain_db(uav, tb, ug)
+                    for rx_gain in rx_gains:
+                        assert tx_gain + rx_gain <= best + 1e-9
+
+    def test_half_bin_tie_rounds_half_to_even(self):
+        # n * spacing * cos = +-0.5 and +-1.5 on a 4x1 array: two beams tie and
+        # the even bin, taken mod 4, wins.
+        arr = ArrayConfig(4, 1)
+        tracker = BeamTracker(arr, arr)
+        for t, bs_c, uav_c, expect, rx_tied in (
+            (0.0, 0.25, 0.75, (0, 2), 1),
+            (DEFAULT_UPDATE_PERIOD, -0.25, -0.75, (0, 2), 3),
+        ):
+            _, rx_lin = tracker.gains_at_cosines(t, (bs_c, 0.0), (uav_c, 0.0))
+            assert (tracker.pair.rx_beam.k, tracker.pair.tx_beam.k) == expect
+            geom = Geometry(azimuth=math.asin(bs_c), elevation=0.0)
+            tied = beam_gain_db(arr, dft_codebook(arr)[rx_tied], geom)
+            assert tied == pytest.approx(10 * math.log10(rx_lin), abs=1e-9)
 
 
 class TestTracker:

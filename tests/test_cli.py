@@ -1,5 +1,6 @@
 import pytest
 
+from uavlink.campaign import REPORT_CSV_HEADER
 from uavlink.cli import main
 from uavlink.mobility import read_trace_csv
 
@@ -87,3 +88,50 @@ def test_bad_flag_exits_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--bs", "sideways", "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+def test_simulate_config_without_value_exits_two(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--out", str(tmp_path), "--config"])
+    assert exc.value.code == 2
+    assert "--config: expected one argument" in capsys.readouterr().err
+
+
+def test_simulate_config_equals_form(tmp_path, capsys):
+    cfg = tmp_path / "scenario.ini"
+    cfg.write_text(
+        "[scenario]\nmission = overwatch-orbit\nrate-mbps = 2\nwindow-s = 0.2\n"
+        f"out = {tmp_path / 'cfg_run'}\n"
+    )
+    rc = main(["simulate", f"--config={cfg}"])
+    assert rc == 0
+    assert (tmp_path / "cfg_run" / "overwatch_orbit_snr.csv").exists()
+
+
+def test_simulate_config_unknown_key_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "scenario.ini"
+    cfg.write_text("[scenario]\nmission = overwatch-orbit\nrate-mpbs = 2\n")
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 1
+    assert "unknown key 'rate-mpbs'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--window-s", "inf"), ("--window-s", "nan"), ("--rate-mbps", "inf"), ("--rate-mbps", "nan"),
+])
+def test_non_finite_numbers_exit_one(tmp_path, capsys, flag, value):
+    rc = main(["simulate", "--mission", "overwatch-orbit", flag, value, "--out", str(tmp_path)])
+    assert rc == 1
+    assert "must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, message", [
+    ("t_s,lat_deg,lon_deg,alt_m\n0.0,30.0,0.0,30.0\n", "expected header mission,profile"),
+    (",".join(REPORT_CSV_HEADER) + "\noverwatch_orbit,lte,1x1,2.0\n", "line 2"),
+])
+def test_report_on_foreign_summary_exits_one(tmp_path, capsys, content, message):
+    (tmp_path / "summary.csv").write_text(content)
+    rc = main(["report", "--out", str(tmp_path)])
+    assert rc == 1
+    assert message in capsys.readouterr().err

@@ -193,7 +193,9 @@ class TestStateAt:
         sampler = TrajectorySampler(trace)
         queries = [0.0, 0.3, 0.5, 0.9, 1.0, 1.7, 2.5, 3.0, 4.0, 5.5, 7.0, 8.0]
         for t in queries:
-            x, y, z, vx, vy, vz = sampler.state(t)
+            t0, x0, y0, z0, vx, vy, vz, t_end = sampler.segment(t)
+            assert t < t_end
+            x, y, z = x0 + vx * (t - t0), y0 + vy * (t - t0), z0 + vz * (t - t0)
             st = state_at(trace, t)
             assert (x, y, z) == pytest.approx(st.position, abs=1e-12)
             assert (vx, vy, vz) == pytest.approx(st.velocity, abs=1e-12)

@@ -15,12 +15,9 @@ from uavlink.phy import (
     harq_step,
     lte_profile,
     mmwave_profile,
-    read_mcs_csv,
     select_mcs,
     shannon_gap_threshold,
     tb_bits,
-    validate_mcs_table,
-    write_mcs_csv,
 )
 
 TABLE = default_mcs_table()
@@ -36,7 +33,6 @@ class TestTable:
         assert TABLE[-1].spectral_efficiency == pytest.approx(5.5546875, abs=1e-9)
 
     def test_thresholds_strictly_increasing(self):
-        validate_mcs_table(TABLE)
         for a, b in zip(TABLE, TABLE[1:]):
             assert b.snr_threshold > a.snr_threshold
             assert b.spectral_efficiency > a.spectral_efficiency
@@ -50,12 +46,6 @@ class TestTable:
     def test_se_consistency_enforced(self):
         with pytest.raises(ValueError):
             McsEntry(0, 2, 0.5, 0.9, -3.0)
-
-    def test_csv_round_trip_bit_exact(self, tmp_path):
-        path = tmp_path / "mcs.csv"
-        write_mcs_csv(TABLE, path)
-        back = read_mcs_csv(path)
-        assert back == TABLE
 
     def test_rebuild_is_deterministic(self):
         assert build_mcs_table() == TABLE

@@ -271,32 +271,24 @@ class TestCsvLogs:
         header = path.read_text().splitlines()[0]
         assert header == "t_s,distance_m,snr_db,tx_gain_db,rx_gain_db"
 
-    def test_packets_property_matches_columns(self):
-        log = run(scenario(window=0.1))
-        packets = log.packets
-        assert len(packets) == log.n_packets
-        for p in packets[:10]:
-            assert p.t_gen == log.t_gen[p.seq]
-            assert p.outcome in ("delivered", "in_flight", "dropped_buffer", "dropped_harq")
-            if p.outcome == "delivered":
-                assert p.t_deliver >= p.t_gen
-
 
 class TestConfigValidation:
     def test_rejects_bad_rates(self):
-        with pytest.raises(ValueError):
-            scenario(rate=0.0)
+        for rate in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                scenario(rate=rate)
 
     def test_rejects_negative_window(self):
-        with pytest.raises(ValueError):
-            ScenarioConfig(
-                trace=TRACE,
-                profile=mmwave_profile(),
-                bs_array=None,
-                uav_array=None,
-                source_rate=1e6,
-                sim_window=-1.0,
-            )
+        for window in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                ScenarioConfig(
+                    trace=TRACE,
+                    profile=mmwave_profile(),
+                    bs_array=None,
+                    uav_array=None,
+                    source_rate=1e6,
+                    sim_window=window,
+                )
 
     def test_default_bs_position_is_centroid_at_25m(self):
         cfg = ScenarioConfig(
