@@ -16,6 +16,7 @@ from .simulation import (
     DEFAULT_BS_HEIGHT,
     MetricsLog,
     ScenarioConfig,
+    check_sim_window,
     run,
     summarize,
     write_packet_log,
@@ -80,6 +81,7 @@ class RunMatrix:
         for p in self.profiles:
             if p not in ("mmwave", "lte"):
                 raise ValueError(f"unknown profile {p!r}")
+        check_sim_window(self.sim_window)
 
 
 def bs_position_for(trace: FlightTrace, placement: str) -> tuple[float, float, float]:
@@ -189,8 +191,8 @@ def run_matrix(
     """Run every cell, write per-cell logs plus the summary table.
 
     Cell failures are collected and reported without aborting the rest of the
-    grid. Output files are independent of execution order: rows are sorted by
-    their grid coordinates before anything aggregate is written.
+    grid, and no summary is written when none succeeds. Output files are
+    independent of execution order: rows are sorted by grid coordinates first.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -216,8 +218,9 @@ def run_matrix(
             except Exception as exc:
                 errors.append(f"{cell_name(*cell)}: {exc}")
     rows.sort(key=_row_key)
-    write_report_csv(rows, out / "summary.csv")
-    (out / "report.txt").write_text(render_report(rows))
+    if rows:
+        write_report_csv(rows, out / "summary.csv")
+        (out / "report.txt").write_text(render_report(rows))
     return rows, errors
 
 

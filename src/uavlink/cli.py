@@ -171,7 +171,8 @@ def cmd_matrix(args) -> int:
     rows, errors = run_matrix(
         matrix, args.out, workers=args.workers, packet_logs=args.packet_logs
     )
-    print(render_report(rows), end="")
+    if rows:
+        print(render_report(rows), end="")
     for err in errors:
         print(f"cell failed: {err}", file=sys.stderr)
     return 1 if errors else 0

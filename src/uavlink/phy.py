@@ -51,7 +51,6 @@ class TransportBlock:
 
     bits: int
     mcs: int
-    created_slot: int
     tx_count: int = 0
 
 

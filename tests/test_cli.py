@@ -135,3 +135,38 @@ def test_report_on_foreign_summary_exits_one(tmp_path, capsys, content, message)
     rc = main(["report", "--out", str(tmp_path)])
     assert rc == 1
     assert message in capsys.readouterr().err
+
+
+def test_matrix_reports_every_failed_cell(tmp_path, capsys):
+    rc = main([
+        "matrix", "--missions", "overwatch_orbit", "--profile", "mmwave", "--antennas", "0x4",
+        "--rate-mbps", "2,3", "--window-s", "0.1", "--out", str(tmp_path),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("cell failed:") == 2
+    assert "nothing to report" not in err
+    assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("window", ["nan", "inf", "-1"])
+def test_matrix_rejects_bad_window(tmp_path, capsys, window):
+    rc = main([
+        "matrix", "--missions", "overwatch_orbit", "--profile", "lte", "--rate-mbps", "2",
+        f"--window-s={window}", "--out", str(tmp_path),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "sim_window must be non-negative and finite" in err
+    assert "cell failed" not in err
+
+
+def test_simulate_larger_than_memory_exits_one(tmp_path, capsys):
+    # 1e12 b/s over 1e5 s: ~1.4e14 bytes of packet rows; nothing is allocated.
+    rc = main([
+        "simulate", "--mission", "overwatch-orbit", "--rate-mbps", "1e6", "--window-s", "1e5",
+        "--out", str(tmp_path),
+    ])
+    assert rc == 1
+    assert "physical memory" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))

@@ -122,14 +122,14 @@ class TestBler:
 
 class TestHarqStep:
     def test_zero_bler_delivers_first_try(self):
-        tb = TransportBlock(bits=100, mcs=5, created_slot=10)
+        tb = TransportBlock(bits=100, mcs=5)
         outcome, when = harq_step(tb, 0.0, 0.999, harq_rtt=4, max_harq_tx=3, current_slot=10)
         assert outcome is Outcome.DELIVERED
         assert when == 10
         assert tb.tx_count == 1
 
     def test_forced_failure_drops_after_budget(self):
-        tb = TransportBlock(bits=100, mcs=5, created_slot=0)
+        tb = TransportBlock(bits=100, mcs=5)
         slot = 0
         outcomes = []
         for _ in range(3):
@@ -148,7 +148,7 @@ class TestHarqStep:
         total = 0
         trials = 100_000
         for _ in range(trials):
-            tb = TransportBlock(bits=1, mcs=0, created_slot=0)
+            tb = TransportBlock(bits=1, mcs=0)
             slot = 0
             while True:
                 outcome, when = harq_step(
