@@ -137,9 +137,14 @@ def _nearest_beam(array: ArrayConfig, cos: tuple[float, float]) -> Beam:
     least 1/sin(pi / 2n) and elsewhere at most that, so the nearest bin,
     round(n * spacing * c) mod n, is the exhaustive-search optimum per axis.
     """
-    k = round(array.n_h * array.spacing * cos[0]) % array.n_h
-    l = round(array.n_v * array.spacing * cos[1]) % array.n_v
+    k = int(_nearest_bin(array.n_h, array.spacing, cos[0]))
+    l = int(_nearest_bin(array.n_v, array.spacing, cos[1]))
     return dft_codebook(array)[k * array.n_v + l]
+
+
+def _nearest_bin(n: int, spacing: float, c):
+    """round(n * spacing * c) mod n on one axis, halves to even, as float(s)."""
+    return np.rint(n * spacing * c) % n
 
 
 class BeamTracker:
@@ -164,17 +169,8 @@ class BeamTracker:
         self.uav_array = uav_array
         self.update_period = update_period
         self.pair: BeamPair | None = None
-        self._epoch = -1
-        # Stored-pair constants refreshed with the pair; the per-slot gain
-        # evaluation below is the hottest code in a simulation run.
-        self._tx_off = 0.0
-        self._tx_voff = 0.0
-        self._rx_off = 0.0
-        self._rx_voff = 0.0
-        self._usp, self._unh, self._unv = uav_array.spacing, uav_array.n_h, uav_array.n_v
-        self._bsp, self._bnh, self._bnv = bs_array.spacing, bs_array.n_h, bs_array.n_v
-        self._un = uav_array.size
-        self._bn = bs_array.size
+        self._epoch = -math.inf  # update period of the stored pair
+        self._bins = (0, 0, 0, 0)  # its (tx k, tx l, rx k, rx l)
 
     def gains_at(self, t: float, bs_geom: Geometry, uav_geom: Geometry) -> tuple[float, float]:
         """(tx_gain_db, rx_gain_db) of the tracked pair at time ``t``."""
@@ -184,43 +180,45 @@ class BeamTracker:
             10.0 * math.log10(max(rx_lin, GAIN_FLOOR_LINEAR)),
         )
 
-    def gains_at_cosines(
-        self,
-        t: float,
-        bs_cos: tuple[float, float],
-        uav_cos: tuple[float, float],
-    ) -> tuple[float, float]:
-        """Linear (tx, rx) gains; refreshes the pair on update-period boundaries."""
-        epoch = math.floor(t / self.update_period + 1e-9)
-        if epoch > self._epoch or self.pair is None:
-            tx = _nearest_beam(self.uav_array, uav_cos)
-            rx = _nearest_beam(self.bs_array, bs_cos)
-            self.pair = BeamPair(tx_beam=tx, rx_beam=rx, selected_at=epoch * self.update_period)
-            self._epoch = epoch
-            self._tx_off = tx.k / self.uav_array.n_h
-            self._tx_voff = tx.l / self.uav_array.n_v
-            self._rx_off = rx.k / self.bs_array.n_h
-            self._rx_voff = rx.l / self.bs_array.n_v
-        # Inlined Dirichlet kernels; signs cancel in the squares.
-        sin, pi = math.sin, math.pi
-        n = self._unh
-        x = self._usp * uav_cos[0] - self._tx_off
-        x -= round(x)
-        dh = n if -_GRID_TOL < x < _GRID_TOL else sin(pi * n * x) / sin(pi * x)
-        n = self._unv
-        x = self._usp * uav_cos[1] - self._tx_voff
-        x -= round(x)
-        dv = n if -_GRID_TOL < x < _GRID_TOL else sin(pi * n * x) / sin(pi * x)
-        tx_lin = (dh * dv) ** 2 / self._un
-        n = self._bnh
-        x = self._bsp * bs_cos[0] - self._rx_off
-        x -= round(x)
-        dh = n if -_GRID_TOL < x < _GRID_TOL else sin(pi * n * x) / sin(pi * x)
-        n = self._bnv
-        x = self._bsp * bs_cos[1] - self._rx_voff
-        x -= round(x)
-        dv = n if -_GRID_TOL < x < _GRID_TOL else sin(pi * n * x) / sin(pi * x)
-        return tx_lin, (dh * dv) ** 2 / self._bn
+    def gains_at_cosines(self, t, bs_cos, uav_cos):
+        """Linear (tx, rx) gains; refreshes the pair on update-period boundaries.
+
+        ``t`` and each cosine are scalars (floats returned) or equal-length
+        arrays of non-decreasing times (arrays returned). The pair is refreshed
+        at the first query of each update period and carries over between calls.
+        """
+        scalar = np.ndim(t) == 0
+        t = np.atleast_1d(t)
+        uav, bs = self.uav_array, self.bs_array
+        axes = list(zip((uav.n_h, uav.n_v, bs.n_h, bs.n_v), (uav.spacing,) * 2 + (bs.spacing,) * 2,
+                        (np.atleast_1d(c) for c in (*uav_cos, *bs_cos))))
+        epoch = np.floor(t / self.update_period + 1e-9)
+        fresh = np.diff(epoch, prepend=self._epoch) > 0  # first query of an update period
+        # Per query, the number of refreshes so far in this call: 0 is the carried pair.
+        which = np.cumsum(fresh)
+        new_bins = [_nearest_bin(n, sp, c[fresh]) for n, sp, c in axes]
+        d = [_dirichlet(n, sp * c - np.concatenate(([b], nb))[which] / n)
+             for b, nb, (n, sp, c) in zip(self._bins, new_bins, axes)]
+        if which[-1]:
+            self._epoch = int(epoch[-1])
+            self._bins = k, l, rk, rl = tuple(int(nb[-1]) for nb in new_bins)
+            self.pair = BeamPair(tx_beam=dft_codebook(uav)[k * uav.n_v + l],
+                                 rx_beam=dft_codebook(bs)[rk * bs.n_v + rl],
+                                 selected_at=self._epoch * self.update_period)
+        tx_lin = (d[0] * d[1]) ** 2 / uav.size
+        rx_lin = (d[2] * d[3]) ** 2 / bs.size
+        return (float(tx_lin[0]), float(rx_lin[0])) if scalar else (tx_lin, rx_lin)
+
+
+def _dirichlet(n: int, x: np.ndarray) -> np.ndarray:
+    """sin(pi n x) / sin(pi x) at the offset x from a DFT bin, taken mod 1.
+
+    Its square over n is one axis's factor of a beam's linear gain; the sign
+    cancels in the square. Within _GRID_TOL of the bin it is its limit n.
+    """
+    x = x - np.rint(x)
+    on_bin = np.abs(x) < _GRID_TOL
+    return np.where(on_bin, n, np.sin(np.pi * n * x) / np.sin(np.pi * np.where(on_bin, 0.5, x)))
 
 
 def parse_antenna_combo(combo: str) -> tuple[ArrayConfig, ArrayConfig]:

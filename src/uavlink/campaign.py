@@ -4,8 +4,9 @@ BS placements, with report emission for the whole grid."""
 from __future__ import annotations
 
 import csv
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 from .beamforming import parse_antenna_combo
@@ -26,18 +27,6 @@ from .simulation import (
 PLACEMENTS = ("on_premise", "distant_2km")
 DISTANT_OFFSET = 2000.0  # m along +x from the mission centroid
 
-REPORT_CSV_HEADER = (
-    "mission",
-    "profile",
-    "antennas",
-    "rate_mbps",
-    "placement",
-    "throughput_mbps",
-    "mean_latency_ms",
-    "p99_latency_ms",
-    "loss_frac",
-)
-
 
 @dataclass(frozen=True)
 class ReportRow:
@@ -46,10 +35,17 @@ class ReportRow:
     antennas: str
     rate_mbps: float
     placement: str
+    seed: int
+    window_s: float
     throughput_mbps: float
     mean_latency_ms: float
     p99_latency_ms: float
     loss_frac: float
+
+
+REPORT_CSV_HEADER = tuple(f.name for f in fields(ReportRow))
+_REPORT_FORMATS = ("", "", "", "g", "", "", "g", ".2f", ".3f", ".3f", ".4f")  # report.txt
+_PARSERS = {"str": str, "int": int, "float": float}  # by annotation, a string here
 
 
 @dataclass
@@ -174,6 +170,8 @@ def summary_row(log: MetricsLog, mission: str, placement: str) -> ReportRow:
         antennas=antennas,
         rate_mbps=cfg.source_rate / 1e6,
         placement=placement,
+        seed=cfg.seed,
+        window_s=cfg.sim_window,
         throughput_mbps=s.throughput_bps / 1e6,
         mean_latency_ms=s.mean_latency_s * 1e3,
         p99_latency_ms=s.p99_latency_s * 1e3,
@@ -194,10 +192,11 @@ def run_matrix(
     grid, and no summary is written when none succeeds. Output files are
     independent of execution order: rows are sorted by grid coordinates first.
     """
+    cells = expand_cells(matrix)
+    workers = pool_size(workers, len(cells))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     trace_seed = matrix.seeds[0]  # one trace per mission, shared across cells
-    cells = expand_cells(matrix)
     jobs = [
         (*cell, matrix.sim_window, trace_seed, str(out), packet_logs) for cell in cells
     ]
@@ -224,8 +223,16 @@ def run_matrix(
     return rows, errors
 
 
+def pool_size(workers: int, cells: int) -> int:
+    """Worker processes for a matrix: no more than its cells or this host's CPUs."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    return max(1, min(workers, cells, os.cpu_count() or 1))
+
+
 def _row_key(row: ReportRow):
-    return (row.mission, row.profile, row.antennas, row.rate_mbps, row.placement)
+    return (row.mission, row.profile, row.antennas, row.rate_mbps, row.placement, row.seed,
+            row.window_s)
 
 
 def render_report(rows) -> str:
@@ -233,20 +240,7 @@ def render_report(rows) -> str:
     if not rows:
         raise ValueError("nothing to report")
     header = REPORT_CSV_HEADER
-    cells = [
-        (
-            r.mission,
-            r.profile,
-            r.antennas,
-            f"{r.rate_mbps:g}",
-            r.placement,
-            f"{r.throughput_mbps:.2f}",
-            f"{r.mean_latency_ms:.3f}",
-            f"{r.p99_latency_ms:.3f}",
-            f"{r.loss_frac:.4f}",
-        )
-        for r in rows
-    ]
+    cells = [tuple(format(v, f) for v, f in zip(astuple(r), _REPORT_FORMATS)) for r in rows]
     widths = [
         max(len(header[i]), max(len(c[i]) for c in cells)) for i in range(len(header))
     ]
@@ -259,23 +253,12 @@ def render_report(rows) -> str:
 
 
 def write_report_csv(rows, path) -> None:
+    """Floats as their repr, so :func:`read_report_csv` reads them back exactly."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_CSV_HEADER)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.mission,
-                    r.profile,
-                    r.antennas,
-                    repr(r.rate_mbps),
-                    r.placement,
-                    repr(r.throughput_mbps),
-                    repr(r.mean_latency_ms),
-                    repr(r.p99_latency_ms),
-                    repr(r.loss_frac),
-                ]
-            )
+        writer.writerows([repr(v) if isinstance(v, float) else v for v in astuple(r)]
+                         for r in rows)
 
 
 def read_report_csv(path) -> list[ReportRow]:
@@ -294,19 +277,7 @@ def read_report_csv(path) -> list[ReportRow]:
             )
         for lineno, rec in enumerate(reader, start=2):
             try:
-                rows.append(
-                    ReportRow(
-                        mission=rec["mission"],
-                        profile=rec["profile"],
-                        antennas=rec["antennas"],
-                        rate_mbps=float(rec["rate_mbps"]),
-                        placement=rec["placement"],
-                        throughput_mbps=float(rec["throughput_mbps"]),
-                        mean_latency_ms=float(rec["mean_latency_ms"]),
-                        p99_latency_ms=float(rec["p99_latency_ms"]),
-                        loss_frac=float(rec["loss_frac"]),
-                    )
-                )
+                rows.append(ReportRow(*(_PARSERS[f.type](rec[f.name]) for f in fields(ReportRow))))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return rows

@@ -49,40 +49,42 @@ class ShadowingField:
         if self.decorrelation_distance <= 0:
             raise ValueError("decorrelation_distance must be positive")
         self._rng = np.random.default_rng(self.seed)
-        self._normals: list[float] = []
-        self._n_i = 0
-        self._last_x = self._last_y = self._last_z = 0.0
-        self._started = False
+        self._last = None  # [x, y, z] of the previous query, each of shape (1,)
         self._last_val = 0.0
 
-    def _normal(self) -> float:
-        # Batched draws: sampling every slot makes per-draw cost matter.
-        if self._n_i >= len(self._normals):
-            self._normals = self._rng.standard_normal(8192).tolist()
-            self._n_i = 0
-        v = self._normals[self._n_i]
-        self._n_i += 1
-        return v
+    def sample_at(self, x, y, z):
+        """Shadowing in dB at a position, advancing the along-path process.
 
-    def sample_at(self, x: float, y: float, z: float) -> float:
-        """Shadowing in dB at a position, advancing the along-path process."""
+        Scalars give a float; equal-length arrays give one value per point,
+        in path order, equal up to rounding to one scalar call per point.
+        """
+        scalar = np.ndim(x) == 0
+        pos = np.atleast_1d(x, y, z)
+        n = len(pos[0])
         if self.sigma == 0.0:
-            return 0.0
-        if not self._started:
-            self._started = True
-            val = self.sigma * self._normal()
-        else:
-            dx = x - self._last_x
-            dy = y - self._last_y
-            dz = z - self._last_z
-            step = math.sqrt(dx * dx + dy * dy + dz * dz)
-            rho = math.exp(-step / self.decorrelation_distance)
-            val = rho * self._last_val + self.sigma * math.sqrt(
-                1.0 - rho * rho
-            ) * self._normal()
-        self._last_x, self._last_y, self._last_z = x, y, z
-        self._last_val = val
-        return val
+            return 0.0 if scalar else np.zeros(n)
+        last = [c[:1] for c in pos] if self._last is None else self._last
+        dx, dy, dz = (np.diff(c, prepend=p) for c, p in zip(pos, last))
+        # Decay exponent of each step; the first query ever decays fully (rho = 0).
+        decay = np.sqrt(dx * dx + dy * dy + dz * dz) / self.decorrelation_distance
+        if self._last is None:
+            decay[0] = np.inf
+        rho = np.exp(-decay)
+        innov = self.sigma * np.sqrt(1.0 - rho * rho) * self._rng.standard_normal(n)
+        # v_i = rho_i v_(i-1) + innov_i, scanned per block [b, e) as
+        # (rho_b v_(b-1) + cumsum(exp(D) innov)) / exp(D), D the decay since b.
+        # A block ends before D reaches 50, so exp(D) stays finite.
+        acc = np.concatenate(([0.0], np.cumsum(decay[1:])))
+        block = acc // 50.0
+        edges = np.concatenate(([0], np.flatnonzero(block[1:] != block[:-1]) + 1, [n]))
+        vals = np.empty(n)
+        val = self._last_val
+        for b, e in zip(edges[:-1], edges[1:]):
+            grow = np.exp(acc[b:e] - acc[b])
+            vals[b:e] = (rho[b] * val + np.cumsum(grow * innov[b:e])) / grow
+            val = vals[e - 1]
+        self._last, self._last_val = [c[-1:].copy() for c in pos], val
+        return float(val) if scalar else vals
 
 
 @dataclass(frozen=True)
@@ -105,13 +107,12 @@ class ChannelSample:
     snr: float  # dB
 
 
-def fspl_db(distance_3d: float, carrier_freq: float) -> float:
-    """Free-space pathloss in dB for a distance in meters and carrier in GHz.
-
-    Distances below 1 m clamp to 1 m.
+def fspl_db(distance_3d, carrier_freq: float):
+    """Free-space pathloss in dB for distances in meters (a float or an array)
+    and a carrier in GHz. Distances below 1 m clamp to 1 m.
     """
-    d = max(distance_3d, FSPL_MIN_DISTANCE)
-    return 32.4 + 20.0 * math.log10(d) + 20.0 * math.log10(carrier_freq)
+    d = np.maximum(distance_3d, FSPL_MIN_DISTANCE)
+    return 32.4 + 20.0 * np.log10(d) + 20.0 * math.log10(carrier_freq)
 
 
 def doppler_shift(radial_speed: float, carrier_freq: float) -> float:

@@ -25,6 +25,13 @@ def _placement(flag: str) -> str:
     return flag.replace("-", "_")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uavlink",
@@ -65,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     mat.add_argument("--bs", default="on-premise", help="comma-separated placements")
     mat.add_argument("--window-s", type=float, default=60.0)
     mat.add_argument("--seed", type=int, default=0)
-    mat.add_argument("--workers", type=int, default=1)
+    mat.add_argument("--workers", type=_positive_int, default=1,
+                     help="worker processes, capped by the cell and CPU counts")
     mat.add_argument("--packet-logs", action="store_true",
                      help="also write per-cell packet CSVs (large at high rates)")
     mat.add_argument("--out", required=True, help="output directory")

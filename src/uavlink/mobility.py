@@ -7,6 +7,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 # Equirectangular scale: meters per degree of latitude, constant per trace.
 M_PER_DEG = 111_000.0
 
@@ -194,13 +196,33 @@ class TrajectorySampler:
     """Cursor over a trace for monotonically increasing query times.
 
     The one trajectory interpolator: it amortizes the segment lookup and
-    exposes the active segment's linear parameters, so a caller sampling every
-    slot can interpolate with three multiply-adds until ``t_end`` passes.
+    exposes the active segment's linear parameters, which :meth:`track`
+    expands over every query time before ``t_end``.
     """
 
     def __init__(self, trace: FlightTrace):
         self._pts = trace.points
         self._i = -1  # before the first segment
+        self._seg = None  # the last segment() result, reused by track()
+
+    def track(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(position, velocity) at non-decreasing times ``t``, each shaped (3, len(t)).
+
+        One :meth:`segment` call per segment entered, carried across calls;
+        position is x0 + v * (t - t0), as :func:`state_at` computes it.
+        """
+        pos, vel = np.empty((2, 3, len(t)))
+        i = 0
+        while i < len(t):
+            if self._seg is None or t[i] >= self._seg[7]:
+                self._seg = self.segment(float(t[i]))
+            t0, x0, y0, z0, vx, vy, vz, t_end = self._seg
+            j = int(np.searchsorted(t, t_end))  # the first time at or past t_end
+            dt = t[i:j] - t0
+            pos[:, i:j] = x0 + vx * dt, y0 + vy * dt, z0 + vz * dt
+            vel[:, i:j] = ((vx,), (vy,), (vz,))
+            i = j
+        return pos, vel
 
     def segment(self, t: float) -> tuple[float, float, float, float, float, float, float, float]:
         """(t0, x0, y0, z0, vx, vy, vz, t_end) of the segment active at ``t``.

@@ -251,6 +251,22 @@ class TestTracker:
             best = beam_gain_db(uav, pair.tx_beam, geom) + beam_gain_db(bs, pair.rx_beam, geom)
             assert tx_db + rx_db <= best + 1e-9
 
+    def test_array_queries_match_scalar_calls(self):
+        # Two array calls (the second starts mid-epoch, so the pair carries
+        # over) against one scalar call per query.
+        rng = np.random.default_rng(3)
+        bs, uav = parse_antenna_combo("16x4")
+        t = np.sort(rng.uniform(0.0, 0.05, 600))
+        t[100:110] = t[100]
+        cos = rng.uniform(-1.0, 1.0, (4, 600))
+        arrays, scalars = BeamTracker(bs, uav), BeamTracker(bs, uav)
+        got = np.hstack([arrays.gains_at_cosines(t[a:b], cos[:2, a:b], cos[2:, a:b])
+                         for a, b in ((0, 250), (250, 600))])
+        expect = [scalars.gains_at_cosines(t[i], cos[:2, i], cos[2:, i]) for i in range(600)]
+        assert all(type(g) is float for g in expect[0])
+        assert np.array_equal(got, np.array(expect).T)
+        assert arrays.pair == scalars.pair
+
     def test_selected_at_is_period_multiple(self):
         bs, uav = parse_antenna_combo("16x4")
         tracker = BeamTracker(bs, uav)

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from uavlink.campaign import (
@@ -5,6 +7,7 @@ from uavlink.campaign import (
     RunMatrix,
     bs_position_for,
     expand_cells,
+    pool_size,
     read_report_csv,
     render_report,
     run_matrix,
@@ -118,6 +121,30 @@ class TestRunMatrix:
             assert (pooled / f.name).read_bytes() == f.read_bytes(), f.name
 
 
+    def test_rows_carry_their_seed(self, tmp_path):
+        matrix = small_matrix(missions=MISSIONS[:1], profiles=["lte"], source_rates=[2e6],
+                              seeds=[1, 2], sim_window=0.2)
+        rows, errors = run_matrix(matrix, tmp_path)
+        assert errors == []
+        assert [(r.seed, r.window_s) for r in rows] == [(1, 0.2), (2, 0.2)]
+        assert read_report_csv(tmp_path / "summary.csv") == rows
+        lines = (tmp_path / "report.txt").read_text().splitlines()
+        assert lines[0].split()[5:7] == ["seed", "window_s"]
+        assert [line.split()[5] for line in lines[2:]] == ["1", "2"]
+
+
+class TestPoolSize:
+    def test_capped_by_cells_and_cpus(self):
+        cpus = os.cpu_count() or 1
+        assert pool_size(64, 3) == min(3, cpus)
+        assert pool_size(10_000, 10_000) == cpus
+        assert pool_size(1, 24) == 1
+
+    def test_rejects_fewer_than_one(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            pool_size(0, 4)
+
+
 class TestReport:
     row = ReportRow(
         mission="overwatch_orbit",
@@ -125,6 +152,8 @@ class TestReport:
         antennas="64x16",
         rate_mbps=1000.0,
         placement="on_premise",
+        seed=0,
+        window_s=60.0,
         throughput_mbps=1018.6666,
         mean_latency_ms=0.1871,
         p99_latency_ms=0.25,
@@ -143,7 +172,7 @@ class TestReport:
             render_report([])
 
     def test_csv_round_trip_exact(self, tmp_path):
-        rows = [self.row, ReportRow("m2", "lte", "1x1", 10.0, "distant_2km",
+        rows = [self.row, ReportRow("m2", "lte", "1x1", 10.0, "distant_2km", 7, 0.5,
                                     75.19391, 116.80661, 120.5, 0.926013)]
         path = tmp_path / "summary.csv"
         write_report_csv(rows, path)

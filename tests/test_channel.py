@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from uavlink.channel import (
@@ -122,6 +123,33 @@ class TestShadowing:
     def test_zero_sigma(self):
         field = ShadowingField(sigma=0.0, decorrelation_distance=10.0, seed=7)
         assert field.sample_at(1.0, 2.0, 3.0) == 0.0
+
+
+class TestShadowingArrays:
+    # 2000 points 1 m apart (200 decorrelation lengths), a 50 km jump in one
+    # step, then 2000 more: more than one scan block, and a step whose decay
+    # would overflow exp in a single block.
+    X = np.concatenate((np.arange(2000.0), 50_000.0 + np.arange(2000.0)))
+    Y, Z = np.zeros(4000), np.full(4000, 30.0)
+
+    def test_jump_stays_finite_and_chunks_match_one_call(self):
+        whole = ShadowingField(sigma=4.0, seed=8).sample_at(self.X, self.Y, self.Z)
+        assert np.all(np.isfinite(whole))
+        chunked = ShadowingField(sigma=4.0, seed=8)
+        edges = [0, 700, 2000, 2001, 3500, 4000]  # one edge at the jump
+        parts = [chunked.sample_at(self.X[a:b], self.Y[a:b], self.Z[a:b])
+                 for a, b in zip(edges, edges[1:])]
+        assert np.abs(np.concatenate(parts) - whole).max() < 1e-9
+
+    def test_array_call_matches_scalar_recursion(self):
+        whole = ShadowingField(sigma=4.0, seed=9).sample_at(self.X, self.Y, self.Z)
+        scalar = ShadowingField(sigma=4.0, seed=9)
+        expect = [scalar.sample_at(*q) for q in zip(self.X, self.Y, self.Z)]
+        assert np.abs(whole - expect).max() < 1e-9
+
+    def test_zero_sigma_arrays(self):
+        field = ShadowingField(sigma=0.0, seed=7)
+        assert np.array_equal(field.sample_at(self.X, self.Y, self.Z), np.zeros(4000))
 
 
 class TestNoiseFloor:

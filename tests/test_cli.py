@@ -170,3 +170,12 @@ def test_simulate_larger_than_memory_exits_one(tmp_path, capsys):
     assert rc == 1
     assert "physical memory" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_matrix_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
+    with pytest.raises(SystemExit) as exc:
+        main(["matrix", "--workers", workers, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--workers: must be at least 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

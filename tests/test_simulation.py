@@ -5,9 +5,18 @@ import numpy as np
 import pytest
 
 from uavlink import simulation
-from uavlink.beamforming import ArrayConfig
+from uavlink.beamforming import (
+    DEFAULT_UPDATE_PERIOD,
+    ArrayConfig,
+    array_basis,
+    beam_gain_db,
+    best_beam_pair,
+    geometry_toward,
+)
 from uavlink.campaign import build_scenario
+from uavlink.channel import ShadowingField, fspl_db, noise_floor_dbm
 from uavlink.missions import MissionArchetype, synth_trace
+from uavlink.mobility import FlightTrace, GeoPoint, Waypoint, state_at
 from uavlink.phy import BLER_MAX, Outcome, bler, lte_profile, mmwave_profile
 from uavlink.simulation import (
     DEFAULT_BUFFER_LIMIT,
@@ -184,6 +193,51 @@ class TestGoodputConvergence:
         assert measured == pytest.approx(predicted, rel=0.02)
 
 
+class TestChannelPass:
+    def test_matches_slot_by_slot_oracle(self):
+        # Five chunks and a part, six waypoints (one segment lasts 10 ms) and
+        # 5 ms beam epochs that straddle chunk edges, recomputed one slot at a
+        # time: interpolated position, the exhaustive-search pair at each epoch
+        # start, inner-product beam gains, FSPL and scalar shadowing.
+        trace = FlightTrace(origin=GeoPoint(0.0, 30.0, 0.0, 30.0), points=(
+            Waypoint(0.0, 0.0, 0.0, 30.0), Waypoint(0.25, 6.0, 1.0, 31.0),
+            Waypoint(0.6, 6.5, 9.0, 30.0), Waypoint(0.61, 6.8, 9.1, 30.0),
+            Waypoint(1.05, -4.0, 3.0, 32.0), Waypoint(3.0, -4.0, 3.0, 32.0),
+        ))
+        cfg = ScenarioConfig(trace=trace, profile=mmwave_profile(), bs_array=ArrayConfig(4, 4),
+                             uav_array=ArrayConfig(2, 2), source_rate=10e6,
+                             bs_position=(60.0, -25.0, 25.0), sim_window=1.3)
+        slot = cfg.profile.slot_duration
+        n = round(cfg.sim_window / slot)
+        assert n > simulation._CHUNK_SLOTS and n % simulation._CHUNK_SLOTS
+        snr, samples = simulation.channel_pass(cfg, ShadowingField(sigma=4.0, seed=21))
+
+        field = ShadowingField(sigma=4.0, seed=21)
+        bs = np.array(cfg.bs_position)
+        bs_basis = array_basis(tuple(np.array(trace.centroid()) - bs))
+        uav_basis = array_basis((0.0, 0.0, -1.0))
+        link = cfg.profile.link
+        nf = noise_floor_dbm(link.bandwidth, link.noise_figure)
+        expect = np.empty(n)
+        epoch = -1
+        for s in range(n):
+            t = s * slot
+            pos = np.array(state_at(trace, t).position)
+            bs_geom = geometry_toward(bs_basis, tuple(pos - bs))
+            uav_geom = geometry_toward(uav_basis, tuple(bs - pos))
+            if math.floor(t / DEFAULT_UPDATE_PERIOD + 1e-9) > epoch:
+                epoch = math.floor(t / DEFAULT_UPDATE_PERIOD + 1e-9)
+                pair = best_beam_pair(cfg.bs_array, cfg.uav_array, bs_geom, uav_geom, t)
+            gains = (beam_gain_db(cfg.uav_array, pair.tx_beam, uav_geom)
+                     + beam_gain_db(cfg.bs_array, pair.rx_beam, bs_geom))
+            pl = fspl_db(float(np.linalg.norm(bs - pos)), link.carrier_freq)
+            expect[s] = link.tx_power + gains - pl - field.sample_at(*pos) - nf
+        assert np.abs(snr - expect).max() < 1e-9
+        record_every = round(simulation.DEFAULT_SNR_SAMPLE_INTERVAL / slot)
+        assert np.array_equal(samples.snr, snr[::record_every])
+        assert np.array_equal(samples.t, np.arange(0, n, record_every) * slot)
+
+
 class TestMacPass:
     """The MAC stage alone, driven by synthetic per-slot SNR arrays."""
 
@@ -204,6 +258,17 @@ class TestMacPass:
         assert np.all(outcome == DELIVERED)
         expected = (self.first_slot_at_or_after(t_gen) + 1) * self.SLOT
         assert np.allclose(t_deliver, expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("rate", [12e6, 7.3e6, 96e6])
+    def test_idle_jump_lands_on_each_arrival_slot(self, rate):
+        # 12 Mb/s puts every arrival exactly on a slot start (1 ms = 8 slots);
+        # 96 Mb/s, one slot apart. Each packet goes out in the first slot s
+        # with t_gen <= s * slot + 1e-9, the MAC's own arrival test.
+        n = 4000
+        t_gen, t_deliver, outcome = self.mac(np.full(n, self.THRESHOLDS[-1] + 40.0), rate=rate)
+        assert np.all(outcome[:-1] == DELIVERED)
+        first = np.searchsorted(np.arange(n) * self.SLOT + 1e-9, t_gen[outcome == DELIVERED])
+        assert np.array_equal(t_deliver[outcome == DELIVERED], first * self.SLOT + self.SLOT)
 
     def test_outage_defers_delivery_until_it_ends(self):
         first, end = 400, 600  # slots [first, end) are in outage
