@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import math
 import random
 
@@ -24,7 +26,10 @@ from uavlink.simulation import (
     DROPPED_BUFFER,
     DROPPED_HARQ,
     IN_FLIGHT,
+    OUTCOME_NAMES,
+    PACKET_CSV_HEADER,
     SAMPLE_DTYPE,
+    SNR_CSV_HEADER,
     MetricsLog,
     ScenarioConfig,
     latency_series,
@@ -397,7 +402,74 @@ class TestMetrics:
         assert s.throughput_bps == 0.0
 
 
+def _rows(*columns):
+    for start in range(0, len(columns[0]), 65536):
+        yield from zip(*(c[start:start + 65536].tolist() for c in columns))
+
+
+def oracle_write_packet_log(log, path):
+    """The packet log as csv.writer writes it, the reference for its bytes."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(PACKET_CSV_HEADER)
+        writer.writerows(
+            (i, tg, "" if math.isnan(td) else td, log.packet_bits, OUTCOME_NAMES[o])
+            for i, (tg, td, o) in enumerate(_rows(log.t_gen, log.t_deliver, log.outcome))
+        )
+
+
+def oracle_write_snr_trace(log, path):
+    """The SNR trace as csv.writer writes it, the reference for its bytes."""
+    rec = log.snr_series
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SNR_CSV_HEADER)
+        writer.writerows(_rows(rec.t, rec.distance_3d, rec.snr, rec.tx_gain, rec.rx_gain))
+
+
+def assert_same_bytes(writer, oracle, log, tmp_path):
+    writer(log, tmp_path / "got.csv")
+    oracle(log, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+# Floats that repr prints in exponent form, and one that needs 17 digits.
+ODD_FLOATS = [1e-05, 5e-324, 1e+16, 0.1 + 0.2, 1.5e-07, 123456789012345680.0]
+
+
 class TestCsvLogs:
+    def test_packet_log_bytes_without_packets(self, tmp_path):
+        log = manual_log([], [], [])
+        assert_same_bytes(write_packet_log, oracle_write_packet_log, log, tmp_path)
+        header = b"seq,t_gen_s,t_deliver_s,size_bits,outcome\r\n"
+        assert (tmp_path / "got.csv").read_bytes() == header
+
+    def test_packet_log_bytes_over_several_chunks(self, tmp_path):
+        # More than two 8192-row chunks, every outcome, NaN delivery times, and
+        # delivery times shared by runs of packets as the MAC stage writes them.
+        rng = np.random.default_rng(4)
+        n = 2 * simulation._WRITE_ROWS + 1234
+        outcome = rng.integers(0, len(OUTCOME_NAMES), n)
+        t_gen = np.arange(n) * 1.2e-5
+        t_deliver = np.where(outcome == DELIVERED, np.ceil(t_gen / 125e-6) * 125e-6 + 125e-6,
+                             math.nan)
+        t_gen[:len(ODD_FLOATS)] = ODD_FLOATS
+        t_deliver[-len(ODD_FLOATS):] = ODD_FLOATS
+        log = manual_log(t_gen, t_deliver, outcome, size=12224)
+        assert_same_bytes(write_packet_log, oracle_write_packet_log, log, tmp_path)
+
+    def test_snr_trace_bytes(self, tmp_path):
+        rng = np.random.default_rng(5)
+        rec = np.recarray(simulation._WRITE_ROWS + 77, dtype=SAMPLE_DTYPE)
+        for name in SAMPLE_DTYPE.names:
+            rec[name] = rng.normal(0.0, 30.0, len(rec))
+        rec.snr[:len(ODD_FLOATS)] = ODD_FLOATS
+        rec.tx_gain[:len(ODD_FLOATS)] = np.negative(ODD_FLOATS)
+        log = dataclasses.replace(manual_log([], [], []), snr_series=rec)
+        assert_same_bytes(write_snr_trace, oracle_write_snr_trace, log, tmp_path)
+        empty = manual_log([], [], [])
+        assert_same_bytes(write_snr_trace, oracle_write_snr_trace, empty, tmp_path)
+
     def test_packet_log_round_trip(self, quick_log, tmp_path):
         path = tmp_path / "packets.csv"
         write_packet_log(quick_log, path)
