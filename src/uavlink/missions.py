@@ -36,6 +36,9 @@ class MissionArchetype:
     def __post_init__(self):
         if self.kind not in MISSION_KINDS:
             raise ValueError(f"unknown mission kind {self.kind!r}")
+        for name in ("area", "speed", "altitude", "duration"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"mission {name} must be finite, got {getattr(self, name)}")
         if self.area <= 0 or self.altitude <= 0 or self.duration < 0:
             raise ValueError("mission dimensions must be positive")
         if not 0 < self.speed <= MAX_UAV_SPEED:

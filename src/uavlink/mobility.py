@@ -187,73 +187,42 @@ def state_at(trace: FlightTrace, t: float) -> MobilityState:
     Outside the trace span the position clamps to the nearest endpoint with
     zero velocity.
     """
-    t0, x0, y0, z0, vx, vy, vz, _ = TrajectorySampler(trace).segment(t)
-    dt = t - t0
-    return MobilityState((x0 + vx * dt, y0 + vy * dt, z0 + vz * dt), (vx, vy, vz))
+    pos, vel = TrajectorySampler(trace).track(np.array([t]))
+    return MobilityState(tuple(pos[:, 0].tolist()), tuple(vel[:, 0].tolist()))
 
 
 class TrajectorySampler:
-    """Cursor over a trace for monotonically increasing query times.
+    """The one trajectory interpolator: a table of linear segments.
 
-    The one trajectory interpolator: it amortizes the segment lookup and
-    exposes the active segment's linear parameters, which :meth:`track`
-    expands over every query time before ``t_end``.
+    Row k (t0, x0, y0, z0, vx, vy, vz, t_end) holds from waypoint k - 1 to k at
+    x0 + vx * (u - t0), ...; rows 0 and n clamp to the end waypoints at rest.
     """
 
     def __init__(self, trace: FlightTrace):
-        self._pts = trace.points
-        self._i = -1  # before the first segment
-        self._seg = None  # the last segment() result, reused by track()
+        pts = trace.points
+        rows = [(pts[0].t, pts[0].x, pts[0].y, pts[0].z, 0.0, 0.0, 0.0, pts[0].t)]
+        for a, b in zip(pts, pts[1:]):
+            inv_dt = 1.0 / (b.t - a.t)
+            rows.append((a.t, a.x, a.y, a.z, (b.x - a.x) * inv_dt, (b.y - a.y) * inv_dt,
+                         (b.z - a.z) * inv_dt, b.t))
+        rows.append((pts[-1].t, pts[-1].x, pts[-1].y, pts[-1].z, 0.0, 0.0, 0.0, math.inf))
+        self._rows = tuple(rows)
+        self._t = np.array([p.t for p in pts])  # row k + 1 begins at waypoint k
 
     def track(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(position, velocity) at non-decreasing times ``t``, each shaped (3, len(t)).
 
-        One :meth:`segment` call per segment entered, carried across calls;
-        position is x0 + v * (t - t0), as :func:`state_at` computes it.
+        Expands each row the times span over its slice; calls come in any order.
         """
         pos, vel = np.empty((2, 3, len(t)))
-        i = 0
-        while i < len(t):
-            if self._seg is None or t[i] >= self._seg[7]:
-                self._seg = self.segment(float(t[i]))
-            t0, x0, y0, z0, vx, vy, vz, t_end = self._seg
-            j = int(np.searchsorted(t, t_end))  # the first time at or past t_end
+        k0, k1 = np.searchsorted(self._t, t[[0, -1]], side="right").tolist() if len(t) else (0, 0)
+        cuts = [0, *np.searchsorted(t, self._t[k0:k1]).tolist(), len(t)]
+        for (t0, x0, y0, z0, vx, vy, vz, _), i, j in zip(self._rows[k0:k1 + 1], cuts, cuts[1:]):
             dt = t[i:j] - t0
             pos[:, i:j] = x0 + vx * dt, y0 + vy * dt, z0 + vz * dt
             vel[:, i:j] = ((vx,), (vy,), (vz,))
-            i = j
         return pos, vel
 
     def segment(self, t: float) -> tuple[float, float, float, float, float, float, float, float]:
-        """(t0, x0, y0, z0, vx, vy, vz, t_end) of the segment active at ``t``.
-
-        Position at u in [t, t_end) is (x0 + (u - t0) * vx, ...). The clamped
-        regions before the first and after the last waypoint appear as
-        zero-velocity segments. Query times must be non-decreasing.
-        """
-        pts = self._pts
-        last = len(pts) - 1
-        i = self._i
-        if i < 0 and t < pts[0].t:
-            p = pts[0]
-            return p.t, p.x, p.y, p.z, 0.0, 0.0, 0.0, p.t
-        if i < 0:
-            i = 0
-        while i < last and t >= pts[i + 1].t:
-            i += 1
-        self._i = i
-        if i >= last:
-            p = pts[last]
-            return p.t, p.x, p.y, p.z, 0.0, 0.0, 0.0, math.inf
-        a, b = pts[i], pts[i + 1]
-        inv_dt = 1.0 / (b.t - a.t)
-        return (
-            a.t,
-            a.x,
-            a.y,
-            a.z,
-            (b.x - a.x) * inv_dt,
-            (b.y - a.y) * inv_dt,
-            (b.z - a.z) * inv_dt,
-            b.t,
-        )
+        """The row (t0, x0, y0, z0, vx, vy, vz, t_end) active at ``t``."""
+        return self._rows[int(np.searchsorted(self._t, t, side="right"))]

@@ -64,7 +64,7 @@ class RatProfile:
     efficiency_factor: float  # control/reference overhead, calibrated
     harq_rtt: int  # slots between retransmission attempts
     max_harq_tx: int
-    scheduling_delay: float  # s added before a packet's first transmission
+    scheduling_delay: float  # s added before a packet's first transmission; whole slots
     mcs_table: tuple[McsEntry, ...]
 
     def __post_init__(self):
@@ -72,6 +72,9 @@ class RatProfile:
             raise ValueError("efficiency_factor must be in (0, 1]")
         if self.slot_duration <= 0:
             raise ValueError("slot_duration must be positive")
+        wait = self.scheduling_delay / self.slot_duration
+        if not (math.isfinite(wait) and wait >= 0 and abs(wait - round(wait)) < 1e-9):
+            raise ValueError(f"scheduling_delay must be whole slots >= 0: {self.scheduling_delay}")
 
 
 def shannon_gap_threshold(se: float) -> float:

@@ -234,7 +234,7 @@ def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.n
     pkt_bits = _packet_bits(config)
     interarrival = config.payload * 8 / config.source_rate
     buffer_bits = DEFAULT_BUFFER_LIMIT * 8
-    sched = prof.scheduling_delay
+    wait = round(prof.scheduling_delay / slot)  # a whole number of slots (RatProfile)
 
     table = prof.mcs_table
     thresholds = [e.snr_threshold for e in table]
@@ -243,6 +243,17 @@ def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.n
     _, max_pk = _array_sizes(config)
     t_del_arr = np.full(max_pk, np.nan)
     outcome_arr = np.zeros(max_pk, dtype=np.int8)
+
+    def generated(s: int, n: int) -> int:
+        """Packets generated by slot ``s`` (n * interarrival <= s * slot + eps), given ``n`` are."""
+        lim = s * slot + _T_EPS
+        if n < max_pk and n * interarrival <= lim:  # more than n: the closed form, then settle
+            n = min(int(lim / interarrival) + 1, max_pk)
+            while n < max_pk and n * interarrival <= lim:
+                n += 1
+            while (n - 1) * interarrival > lim:
+                n -= 1
+        return n
 
     queue: deque[list] = deque()  # [first, end) ranges of admitted packet indices
     head_sent = 0  # bits of packet queue[0][0] already placed in a block
@@ -258,16 +269,9 @@ def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.n
         s, nxt = nxt, nxt + 1
         t = s * slot
 
-        # CBR arrivals up to the slot start (n * interarrival <= t + eps); tail drops.
-        lim = t + _T_EPS
-        if next_gen <= lim and n_gen < max_pk:
-            n = n_gen + 1
-            if n < max_pk and n * interarrival <= lim:
-                n = min(int(lim / interarrival) + 1, max_pk)
-                while n < max_pk and n * interarrival <= lim:
-                    n += 1
-                while (n - 1) * interarrival > lim:
-                    n -= 1
+        # CBR arrivals up to the slot start; tail drops.
+        if next_gen <= t + _T_EPS and n_gen < max_pk:
+            n = generated(s, n_gen + 1)  # packet n_gen has arrived
             admit = n_gen + (buffer_bits - queued_bits) // pkt_bits
             if admit < n:
                 outcome_arr[admit:n] = DROPPED_BUFFER
@@ -290,15 +294,9 @@ def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.n
         if mcs_i < 0:
             continue  # outage: no grant, retransmissions wait too
 
-        # Start a new block only when the link is idle, with packets [0, ready) past the delay.
+        # Start a new block only when the link is idle, with the packets of ``wait`` slots ago.
         if pending is None:
-            ready = n_gen
-            if sched != 0.0:
-                ready = int((t - sched) / interarrival) + 1
-                while not t < ready * interarrival + sched - _T_EPS:
-                    ready += 1
-                while t < (ready - 1) * interarrival + sched - _T_EPS:
-                    ready -= 1
+            ready = generated(s - wait, 0) if wait else n_gen
             cap = room = tb_caps[mcs_i]
             pending_done = []  # [first, end) ranges of the packets the block completes
             while room and queue:  # every size is a multiple of 8 bits

@@ -117,13 +117,22 @@ def test_simulate_config_unknown_key_exits_one(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+SYNTH_TRACE_FLAGS = ("--area-m2", "--speed-ms", "--altitude-m", "--duration-s")
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--window-s", "inf"), ("--window-s", "nan"), ("--rate-mbps", "inf"), ("--rate-mbps", "nan"),
+    *((flag, value) for flag in SYNTH_TRACE_FLAGS for value in ("inf", "nan")),
 ])
 def test_non_finite_numbers_exit_one(tmp_path, capsys, flag, value):
-    rc = main(["simulate", "--mission", "overwatch-orbit", flag, value, "--out", str(tmp_path)])
+    command = "synth-trace" if flag in SYNTH_TRACE_FLAGS else "simulate"
+    rc = main([command, "--mission", "overwatch-orbit", flag, value, "--out", str(tmp_path)])
     assert rc == 1
-    assert "must be" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "must be" in err
+    if command == "synth-trace":  # the message names the field
+        assert flag.split("-")[2] in err
+        assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("content, message", [

@@ -31,15 +31,18 @@ CI_SETTINGS = settings(deadline=None, derandomize=True, max_examples=40)
 MAX_RANDOM_PACKETS = 20000  # keeps the per-packet oracle fast
 
 
-def config(profile, n_slots, rate, payload=1500):
+def config(profile, n_slots, rate, payload=1500, prof=None):
+    """``n_slots`` of the named profile, or of ``prof`` derived from it."""
+    prof = prof or PROFILES[profile]
     cfg = build_scenario(TRACE, profile, "64x16", rate, "on_premise", 7,
-                         n_slots * PROFILES[profile].slot_duration)
-    return dataclasses.replace(cfg, payload=payload)
+                         n_slots * prof.slot_duration)
+    return dataclasses.replace(cfg, profile=prof, payload=payload)
 
 
-def random_config(profile, n_slots, rate, payload):
-    window = n_slots * PROFILES[profile].slot_duration
-    return config(profile, n_slots, min(rate, MAX_RANDOM_PACKETS * payload * 8 / window), payload)
+def random_config(profile, n_slots, rate, payload, prof=None):
+    window = n_slots * (prof or PROFILES[profile]).slot_duration
+    return config(profile, n_slots, min(rate, MAX_RANDOM_PACKETS * payload * 8 / window), payload,
+                  prof)
 
 
 def around_thresholds(n, seed, centre=20, spread=4.0, outage_frac=0.05):
@@ -104,6 +107,26 @@ class TestAgainstOracle:
             n_slots = n_slots // 6 + 1  # 1 ms slots
         snr = around_thresholds(n_slots, snr_seed, centre, spread, outage_frac)
         assert_matches_oracle(random_config(profile, n_slots, rate, payload), snr, harq_seed)
+
+    @settings(CI_SETTINGS, max_examples=100)
+    @given(slot=st.sampled_from([1e-3, 0.5e-3, 125e-6]),
+           wait=st.integers(1, 8),
+           n_slots=st.integers(1, 400),
+           rate=st.floats(1e6, 1.5e9),
+           payload=st.integers(20, 9000),
+           centre=st.integers(0, len(THRESHOLDS) - 1),
+           spread=st.floats(0.0, 8.0),
+           outage_frac=st.sampled_from([0.0, 0.05, 0.5]),
+           snr_seed=st.integers(0, 2**32 - 1),
+           harq_seed=st.integers(0, 2**32 - 1))
+    def test_whole_slot_scheduling_delays(self, slot, wait, n_slots, rate, payload, centre,
+                                          spread, outage_frac, snr_seed, harq_seed):
+        # LTE-derived profiles: a wait of whole slots admits what the oracle's
+        # float test against the delay in seconds admits.
+        prof = dataclasses.replace(PROFILES["lte"], slot_duration=slot,
+                                   scheduling_delay=wait * slot)
+        snr = around_thresholds(n_slots, snr_seed, centre, spread, outage_frac)
+        assert_matches_oracle(random_config("lte", n_slots, rate, payload, prof), snr, harq_seed)
 
 
 @st.composite

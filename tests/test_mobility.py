@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from uavlink.mobility import (
@@ -190,15 +191,26 @@ class TestStateAt:
     def test_sampler_matches_state_at(self):
         times = [0.5, 1.0, 2.5, 4.0, 7.0]
         trace = make_trace([(t, math.sin(t), math.cos(t), 5.0 + t) for t in times])
+        axes = list(zip(*((p.x, p.y, p.z) for p in trace.points)))
         sampler = TrajectorySampler(trace)
-        queries = [0.0, 0.3, 0.5, 0.9, 1.0, 1.7, 2.5, 3.0, 4.0, 5.5, 7.0, 8.0]
-        for t in queries:
-            t0, x0, y0, z0, vx, vy, vz, t_end = sampler.segment(t)
+        # Before the first waypoint, on each waypoint, between them and past the last.
+        queries = [0.0, 0.3, 0.5, 0.9, 1.0, 1.0, 1.7, 2.5, 3.0, 4.0, 5.5, 7.0, 8.0]
+        rows = [sampler.segment(t) for t in reversed(queries)][::-1]  # in any order
+        for t, (t0, x0, y0, z0, vx, vy, vz, t_end) in zip(queries, rows):
             assert t < t_end
             x, y, z = x0 + vx * (t - t0), y0 + vy * (t - t0), z0 + vz * (t - t0)
             st = state_at(trace, t)
-            assert (x, y, z) == pytest.approx(st.position, abs=1e-12)
-            assert (vx, vy, vz) == pytest.approx(st.velocity, abs=1e-12)
+            assert (x, y, z) == st.position
+            assert (vx, vy, vz) == st.velocity
+            assert st.position == pytest.approx([np.interp(t, times, a) for a in axes], abs=1e-12)
+        # track equals the rows, over chunks queried out of order across calls.
+        q = np.array(queries)
+        for chunks in ([slice(0, 13)], [slice(6, 13), slice(0, 3), slice(3, 6), slice(0, 0)]):
+            for sl in chunks:
+                pos, vel = sampler.track(q[sl])
+                want = [(x0 + vx * (t - t0), y0 + vy * (t - t0), z0 + vz * (t - t0), vx, vy, vz)
+                        for t, (t0, x0, y0, z0, vx, vy, vz, _) in zip(queries[sl], rows[sl])]
+                assert list(zip(*pos.tolist(), *vel.tolist())) == want
 
 
 def test_trace_needs_two_points():

@@ -1,7 +1,12 @@
+import dataclasses
 import math
 import random
+from bisect import bisect_right
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavlink.phy import (
     BLER_MAX,
@@ -21,6 +26,7 @@ from uavlink.phy import (
 )
 
 TABLE = default_mcs_table()
+THRESHOLDS = [e.snr_threshold for e in TABLE]
 
 
 class TestTable:
@@ -62,11 +68,16 @@ class TestSelectMcs:
         for k in (0, 7, 15, 28):
             assert select_mcs(TABLE, TABLE[k].snr_threshold) is TABLE[k]
 
-    def test_monotone_in_snr(self):
-        rng = random.Random(2)
-        snrs = sorted(rng.uniform(-20.0, 40.0) for _ in range(300))
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(st.lists(st.one_of(st.floats(-20.0, 40.0), st.sampled_from(THRESHOLDS),
+                              st.sampled_from([math.inf, -math.inf, -0.0, 0.0])), min_size=1))
+    def test_monotone_in_snr(self, snrs):
+        # select_mcs, the MAC's bisect_right lookup and the array form agree.
+        snrs.sort()
         picks = [select_mcs(TABLE, s) for s in snrs]
         indices = [-1 if p is None else p.index for p in picks]
+        assert indices == [bisect_right(THRESHOLDS, s) - 1 for s in snrs]
+        assert indices == (np.searchsorted(THRESHOLDS, snrs, side="right") - 1).tolist()
         assert indices == sorted(indices)
 
 
@@ -169,6 +180,11 @@ class TestProfiles:
     def test_lte_scheduling_delay(self):
         assert lte_profile().scheduling_delay == 4e-3
         assert mmwave_profile().scheduling_delay == 0.0
+
+    @pytest.mark.parametrize("delay", [1.5e-3, -1e-3])
+    def test_scheduling_delay_is_whole_non_negative_slots(self, delay):
+        with pytest.raises(ValueError, match="scheduling_delay must be whole slots"):
+            dataclasses.replace(lte_profile(), scheduling_delay=delay)
 
     def test_efficiency_factors_near_documented_values(self):
         assert mmwave_profile().efficiency_factor == pytest.approx(0.5761, abs=5e-4)
