@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
@@ -12,11 +13,12 @@ from pathlib import Path
 from .beamforming import parse_antenna_combo
 from .missions import MissionArchetype, synth_trace
 from .mobility import FlightTrace
-from .phy import profile_by_name
+from .phy import PROFILES, profile_by_name
 from .simulation import (
-    DEFAULT_BS_HEIGHT,
+    BS_OFFSETS,
     MetricsLog,
     ScenarioConfig,
+    bs_position_for,
     check_sim_window,
     run,
     summarize,
@@ -24,11 +26,8 @@ from .simulation import (
     write_snr_trace,
 )
 
-PLACEMENTS = ("on_premise", "distant_2km")
-DISTANT_OFFSET = 2000.0  # m along +x from the mission centroid
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)  # rows sort by grid coordinates, the first seven fields
 class ReportRow:
     mission: str
     profile: str
@@ -71,22 +70,17 @@ class RunMatrix:
         ):
             if not axis:
                 raise ValueError(f"empty matrix axis: {name}")
-        for p in self.bs_placements:
-            if p not in PLACEMENTS:
-                raise ValueError(f"unknown placement {p!r}")
-        for p in self.profiles:
-            if p not in ("mmwave", "lte"):
-                raise ValueError(f"unknown profile {p!r}")
+        for axis, table, what in ((self.bs_placements, BS_OFFSETS, "placement"),
+                                  (self.profiles, PROFILES, "profile")):
+            for p in axis:
+                if p not in table:
+                    raise ValueError(f"unknown {what} {p!r}, expected {' or '.join(table)}")
         check_sim_window(self.sim_window)
 
 
-def bs_position_for(trace: FlightTrace, placement: str) -> tuple[float, float, float]:
-    cx, cy, _ = trace.centroid()
-    if placement == "on_premise":
-        return (cx, cy, DEFAULT_BS_HEIGHT)
-    if placement == "distant_2km":
-        return (cx + DISTANT_OFFSET, cy, DEFAULT_BS_HEIGHT)
-    raise ValueError(f"unknown placement {placement!r}")
+def profile_antennas(profile: str, combos: list[str]) -> list[str]:
+    """The antenna combinations a profile's cells run: the LTE baseline is single-antenna."""
+    return ["1x1"] if profile == "lte" else combos
 
 
 def build_scenario(
@@ -98,12 +92,8 @@ def build_scenario(
     seed: int,
     sim_window: float,
 ) -> ScenarioConfig:
-    """Wire one grid cell into a runnable scenario.
-
-    The LTE baseline is single-antenna: its cells force a 1x1 combination.
-    """
-    if profile_name == "lte":
-        antennas = "1x1"
+    """Wire one grid cell into a runnable scenario (see :func:`profile_antennas`)."""
+    [antennas] = profile_antennas(profile_name, [antennas])
     bs_array, uav_array = parse_antenna_combo(antennas)
     return ScenarioConfig(
         trace=trace,
@@ -120,15 +110,9 @@ def build_scenario(
 def expand_cells(matrix: RunMatrix) -> list[tuple]:
     """Grid cells as (mission, profile, antennas, rate, placement, seed) tuples.
 
-    The antenna axis applies to mmWave only; LTE contributes one cell per
-    remaining combination, mirroring a {mmwave x combos, lte} link axis.
+    The link axis is each profile with each of its :func:`profile_antennas`.
     """
-    links = []
-    for profile in matrix.profiles:
-        if profile == "mmwave":
-            links.extend(("mmwave", combo) for combo in matrix.antenna_combos)
-        else:
-            links.append(("lte", "1x1"))
+    links = [(p, a) for p in matrix.profiles for a in profile_antennas(p, matrix.antenna_combos)]
     cells = []
     for mission in matrix.missions:
         for profile, antennas in links:
@@ -188,11 +172,16 @@ def run_matrix(
 ) -> tuple[list[ReportRow], list[str]]:
     """Run every cell, write per-cell logs plus the summary table.
 
+    Raises ValueError, before writing anything, if two cells share a name.
     Cell failures are collected and reported without aborting the rest of the
     grid, and no summary is written when none succeeds. Output files are
-    independent of execution order: rows are sorted by grid coordinates first.
+    independent of execution order: rows are sorted by grid coordinates.
     """
     cells = expand_cells(matrix)
+    names = [cell_name(*cell) for cell in cells]
+    clashes = [name for name, n in Counter(names).items() if n > 1]
+    if clashes:
+        raise ValueError(f"matrix cells share a name: {', '.join(clashes)}")
     workers = pool_size(workers, len(cells))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -205,18 +194,18 @@ def run_matrix(
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_execute_cell, job) for job in jobs]
-            for cell, fut in zip(cells, futures):
+            for name, fut in zip(names, futures):
                 try:
                     rows.append(fut.result())
                 except Exception as exc:  # per-cell isolation
-                    errors.append(f"{cell_name(*cell)}: {exc}")
+                    errors.append(f"{name}: {exc}")
     else:
-        for cell, job in zip(cells, jobs):
+        for name, job in zip(names, jobs):
             try:
                 rows.append(_execute_cell(job))
             except Exception as exc:
-                errors.append(f"{cell_name(*cell)}: {exc}")
-    rows.sort(key=_row_key)
+                errors.append(f"{name}: {exc}")
+    rows.sort()
     if rows:
         write_report_csv(rows, out / "summary.csv")
         (out / "report.txt").write_text(render_report(rows))
@@ -228,11 +217,6 @@ def pool_size(workers: int, cells: int) -> int:
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     return max(1, min(workers, cells, os.cpu_count() or 1))
-
-
-def _row_key(row: ReportRow):
-    return (row.mission, row.profile, row.antennas, row.rate_mbps, row.placement, row.seed,
-            row.window_s)
 
 
 def render_report(rows) -> str:

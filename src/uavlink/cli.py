@@ -16,9 +16,11 @@ from .campaign import (
 )
 from .missions import MISSION_KINDS, archetype_by_name, synth_trace
 from .mobility import decimate, read_trace_csv, write_trace_csv
-from .simulation import run, summarize, write_packet_log, write_snr_trace
+from .phy import PROFILES
+from .simulation import BS_OFFSETS, run, summarize, write_packet_log, write_snr_trace
 
 DEFAULT_DECIMATE_S = 1.0
+BS_FLAGS = [p.replace("_", "-") for p in BS_OFFSETS]  # --bs spelling of each placement
 
 
 def _placement(flag: str) -> str:
@@ -52,10 +54,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run one scenario and write its logs")
     sim.add_argument("--trace", help="input trace CSV (t_s,lat_deg,lon_deg,alt_m)")
     sim.add_argument("--mission", help="synthesize this mission instead of reading --trace")
-    sim.add_argument("--profile", choices=["mmwave", "lte"], default="mmwave")
+    sim.add_argument("--profile", choices=list(PROFILES), default=next(iter(PROFILES)))
     sim.add_argument("--antennas", default="64x16", help="BSxUAV element totals, e.g. 64x16")
     sim.add_argument("--rate-mbps", type=float, default=10.0)
-    sim.add_argument("--bs", choices=["on-premise", "distant-2km"], default="on-premise")
+    sim.add_argument("--bs", choices=BS_FLAGS, default=BS_FLAGS[0])
     sim.add_argument("--window-s", type=float, default=60.0)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--decimate-s", type=float, default=DEFAULT_DECIMATE_S,
@@ -66,10 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
     mat = sub.add_parser("matrix", help="run a grid of scenarios and write a report")
     mat.add_argument("--missions", default=",".join(MISSION_KINDS),
                      help="comma-separated mission kinds")
-    mat.add_argument("--profile", default="mmwave,lte", help="comma-separated profiles")
+    mat.add_argument("--profile", default=",".join(PROFILES), help="comma-separated profiles")
     mat.add_argument("--antennas", default="64x16,16x4", help="comma-separated combos")
     mat.add_argument("--rate-mbps", default="10,1000", help="comma-separated rates")
-    mat.add_argument("--bs", default="on-premise", help="comma-separated placements")
+    mat.add_argument("--bs", default=BS_FLAGS[0], help="comma-separated placements")
     mat.add_argument("--window-s", type=float, default=60.0)
     mat.add_argument("--seed", type=int, default=0)
     mat.add_argument("--workers", type=_positive_int, default=1,

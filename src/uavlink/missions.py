@@ -4,6 +4,7 @@ public-safety traces, one generator per mission archetype."""
 from __future__ import annotations
 
 import math
+import os
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ MISSION_KINDS = (
 MAX_UAV_SPEED = 20.0  # m/s, small-UAV envelope
 WAYPOINT_SPACING = 1.0  # s between generated waypoints
 LAWNMOWER_LANES = 9  # sweep lines across the area
+WAYPOINT_BYTES = 256  # peak memory per synthesized waypoint: its time, position and Waypoint
 
 # Arbitrary geodetic anchor for synthesized traces; only the local frame matters.
 DEFAULT_ORIGIN = GeoPoint(t=0.0, lat=30.0, lon=0.0, alt=0.0)
@@ -49,7 +51,8 @@ def synth_trace(archetype: MissionArchetype, seed: int = 0) -> FlightTrace:
     """Deterministic waypoint trace for an archetype, one waypoint per second.
 
     A zero-duration mission degenerates to the start point duplicated a
-    millisecond later so the trace invariants still hold.
+    millisecond later so the trace invariants still hold. Raises ValueError,
+    before allocating them, if the waypoints would not fit in physical memory.
     """
     positions = _positions(archetype, seed)
     if len(positions) < 2:
@@ -68,6 +71,10 @@ def synth_trace(archetype: MissionArchetype, seed: int = 0) -> FlightTrace:
 
 def _positions(archetype: MissionArchetype, seed: int) -> list[tuple[float, float]]:
     n = int(archetype.duration / WAYPOINT_SPACING) + 1
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if n * WAYPOINT_BYTES > physical:
+        raise ValueError(f"mission duration {archetype.duration} s needs {n} waypoints, "
+                         f"more than fit in the {physical} bytes of physical memory")
     times = [i * WAYPOINT_SPACING for i in range(n)]
     kind = archetype.kind
     if kind == "overwatch_orbit":

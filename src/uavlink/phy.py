@@ -207,9 +207,11 @@ def lte_profile() -> RatProfile:
     )
 
 
+# The radio profiles by name; the first is the default.
+PROFILES = {"mmwave": mmwave_profile, "lte": lte_profile}
+
+
 def profile_by_name(name: str) -> RatProfile:
-    factories = {"mmwave": mmwave_profile, "lte": lte_profile}
-    try:
-        return factories[name]()
-    except KeyError:
-        raise ValueError(f"unknown profile {name!r}, expected mmwave or lte") from None
+    if name not in PROFILES:
+        raise ValueError(f"unknown profile {name!r}, expected {' or '.join(PROFILES)}")
+    return PROFILES[name]()

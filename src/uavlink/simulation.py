@@ -31,6 +31,8 @@ from .mobility import FlightTrace, TrajectorySampler
 from .phy import Outcome, RatProfile, TransportBlock, harq_step
 
 DEFAULT_BS_HEIGHT = 25.0  # m
+# BS placements: offset in m along +x from the mission centroid; the first is the default.
+BS_OFFSETS = {"on_premise": 0.0, "distant_2km": 2000.0}
 DEFAULT_PAYLOAD = 1500  # bytes per source packet
 DEFAULT_HEADER_OVERHEAD = 28  # bytes, IP + UDP
 DEFAULT_BUFFER_LIMIT = 1_090_000  # bytes; calibrates the saturated-queue delay
@@ -51,6 +53,13 @@ _CHUNK_SLOTS = 2048  # channel-stage chunk; its temporaries add to peak RSS (409
 _WRITE_ROWS = 8192  # CSV rows per write (65536: +15 MB peak RSS, 120 s 10 Mb/s run)
 
 
+def bs_position_for(trace: FlightTrace, placement: str) -> tuple[float, float, float]:
+    if placement not in BS_OFFSETS:
+        raise ValueError(f"unknown placement {placement!r}, expected {' or '.join(BS_OFFSETS)}")
+    cx, cy, _ = trace.centroid()
+    return (cx + BS_OFFSETS[placement], cy, DEFAULT_BS_HEIGHT)
+
+
 def check_sim_window(sim_window: float) -> None:
     """Raise ValueError unless the simulated window is finite and non-negative."""
     if not (math.isfinite(sim_window) and sim_window >= 0):
@@ -66,7 +75,7 @@ class ScenarioConfig:
     bs_array: ArrayConfig
     uav_array: ArrayConfig
     source_rate: float  # b/s of payload bits
-    bs_position: tuple[float, float, float] | None = None  # default: centroid, 25 m
+    bs_position: tuple[float, float, float] | None = None  # default: the default placement
     payload: int = DEFAULT_PAYLOAD  # bytes
     header_overhead: int = DEFAULT_HEADER_OVERHEAD  # bytes
     sim_window: float = 60.0  # s
@@ -82,8 +91,7 @@ class ScenarioConfig:
             raise ValueError("header_overhead must be non-negative")
         check_sim_window(self.sim_window)
         if self.bs_position is None:
-            cx, cy, _ = self.trace.centroid()
-            self.bs_position = (cx, cy, DEFAULT_BS_HEIGHT)
+            self.bs_position = bs_position_for(self.trace, next(iter(BS_OFFSETS)))
 
 
 @dataclass

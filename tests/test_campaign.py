@@ -5,7 +5,6 @@ import pytest
 from uavlink.campaign import (
     ReportRow,
     RunMatrix,
-    bs_position_for,
     expand_cells,
     pool_size,
     read_report_csv,
@@ -14,6 +13,7 @@ from uavlink.campaign import (
     write_report_csv,
 )
 from uavlink.missions import MissionArchetype, synth_trace
+from uavlink.simulation import bs_position_for
 
 MISSIONS = [MissionArchetype(k, duration=30.0) for k in (
     "overwatch_orbit",
@@ -65,6 +65,10 @@ class TestMatrixShape:
     def test_unknown_placement_rejected(self):
         with pytest.raises(ValueError):
             small_matrix(bs_placements=["rooftop"])
+
+    def test_unknown_profile_rejected(self):
+        with pytest.raises(ValueError, match="unknown profile 'wifi', expected mmwave or lte"):
+            small_matrix(profiles=["mmwave", "wifi"])
 
 
 class TestBsPlacement:

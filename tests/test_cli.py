@@ -1,8 +1,17 @@
+import os
+import resource
+import subprocess
+import sys
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from uavlink.campaign import REPORT_CSV_HEADER
 from uavlink.cli import main
-from uavlink.mobility import read_trace_csv
+from uavlink.mobility import TRACE_CSV_HEADER, read_trace_csv
+from uavlink.phy import PROFILES
+from uavlink.simulation import BS_OFFSETS
 
 
 def test_synth_trace_writes_csv(tmp_path, capsys):
@@ -188,3 +197,107 @@ def test_matrix_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
     assert exc.value.code == 2
     assert "--workers: must be at least 1" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("profile", list(PROFILES))
+@pytest.mark.parametrize("placement", list(BS_OFFSETS))
+def test_simulate_accepts_every_profile_and_placement(tmp_path, capsys, profile, placement):
+    rc = main(["simulate", "--mission", "overwatch-orbit", "--profile", profile,
+               "--bs", placement.replace("_", "-"), "--window-s", "0", "--out", str(tmp_path)])
+    assert rc == 0
+    assert (tmp_path / "overwatch_orbit_snr.csv").exists()
+
+
+@pytest.mark.parametrize("rates", ["2,2.00000001", "2,2"])
+def test_matrix_refuses_cells_sharing_a_name(tmp_path, capsys, rates):
+    # Both rates print as 2mbps: the second cell would overwrite the first's files.
+    out = tmp_path / "out"
+    rc = main(["matrix", "--missions", "overwatch_orbit", "--profile", "lte", "--rate-mbps",
+               rates, "--bs", "on-premise", "--window-s", "0.2", "--out", str(out)])
+    assert rc == 1
+    assert "overwatch_orbit_lte_1x1_2mbps_on_premise_s0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_trace_larger_than_memory_exits_one(tmp_path):
+    # 1e12 waypoints. The child's address space is capped at 1 GiB, so a check
+    # that let them be allocated would end in a MemoryError, not exhaust the host.
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "uavlink.cli", "synth-trace", "--duration-s", "1e12",
+         "--out", str(out)],
+        capture_output=True, text=True, env=env, preexec_fn=cap_address_space, timeout=120,
+    )
+    assert done.returncode == 1
+    assert "mission duration 1000000000000.0 s" in done.stderr
+    assert "physical memory" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
+
+
+# A well-formed trace and ways to break it, each of which alone makes it malformed.
+GOOD_ROWS = [["0.0", "30.0", "0.0", "30.0"], ["1.0", "30.0001", "0.0", "30.0"],
+             ["2.5", "30.0002", "0.0001", "31.0"], ["4.0", "30.0001", "0.0002", "29.5"]]
+NON_FINITE = ["nan", "inf", "-inf", "NaN", "Infinity", "1e400", "-1e400"]
+OUT_OF_RANGE = [["-1", "-1e-300"], ["90.5", "-91"], ["180.5", "-181"], ["-0.5", "-1e-300"]]
+UNDECODABLE = [b"\xff", b"\xfe", b"\x80", b"\xc3\x28", b"\xed\xa0\x80"]
+
+
+def _not_a_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+# No comma, quote or line break, so a cell stays one cell.
+cell_text = st.text(st.characters(blacklist_characters=',"\r\n'), max_size=8)
+
+
+@st.composite
+def malformed_trace_csv(draw) -> bytes:
+    header = list(TRACE_CSV_HEADER)
+    rows = [list(r) for r in GOOD_ROWS[:draw(st.integers(2, len(GOOD_ROWS)))]]
+    flaw = draw(st.sampled_from(["header", "cell", "ragged", "time", "bytes", "short"]))
+    if flaw == "header":
+        i = draw(st.integers(0, 3))
+        header[i] = draw(cell_text.filter(lambda t: t.strip() != header[i]))
+    elif flaw == "cell":
+        r, c = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 3))
+        rows[r][c] = draw(st.one_of(st.sampled_from(NON_FINITE), st.sampled_from(OUT_OF_RANGE[c]),
+                                    cell_text.filter(_not_a_number)))
+    elif flaw == "ragged":
+        r = draw(st.integers(0, len(rows) - 1))
+        rows[r] = rows[r][:draw(st.integers(1, 3))]
+    elif flaw == "time":
+        r = draw(st.integers(1, len(rows) - 1))
+        back = draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0)))  # 0.0: a repeated time
+        rows[r][0] = repr(float(rows[r - 1][0]) - back)
+    elif flaw == "short":
+        rows = rows[:draw(st.integers(0, 1))]
+    data = "".join(",".join(line) + "\n" for line in [header, *rows]).encode()
+    if flaw == "bytes":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(UNDECODABLE)) + data[at:]
+    return data
+
+
+@settings(deadline=None, derandomize=True, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=malformed_trace_csv())
+def test_malformed_trace_csv_is_refused(tmp_path, capsys, data):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(data)
+    with pytest.raises(ValueError):
+        read_trace_csv(path)
+    out = tmp_path / "out"
+    rc = main(["simulate", "--trace", str(path), "--window-s", "0", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
