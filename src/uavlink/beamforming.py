@@ -1,6 +1,6 @@
-"""Uniform planar arrays, DFT beam codebooks, the best beam pair (the nearest
-DFT bin per axis), and the periodic tracking loop that holds a stale pair
-between updates."""
+"""Uniform planar arrays, DFT beam codebooks, and the periodic tracking loop
+that refreshes the best beam pair (the nearest DFT bin per axis) and holds it
+stale between updates."""
 
 from __future__ import annotations
 
@@ -106,97 +106,45 @@ def beam_gain_db(array: ArrayConfig, beam: Beam, geom: Geometry) -> float:
     return 10.0 * math.log10(max(g, GAIN_FLOOR_LINEAR))
 
 
-def best_beam_pair(
-    bs_array: ArrayConfig,
-    uav_array: ArrayConfig,
-    bs_geom: Geometry,
-    uav_geom: Geometry,
-    t: float,
-) -> BeamPair:
-    """The tx/rx beam pair with the largest combined gain over both codebooks.
-
-    Uplink: the UAV transmits, the BS receives. The combined gain is the
-    product of one gain per side, so each side's best beam is found on its
-    own, as its nearest DFT bin (see :func:`_nearest_beam`). A direction
-    exactly half a bin between two beams ties them; it goes to the even bin
-    (``round`` halves to even), taken modulo the axis size.
-    """
-    return BeamPair(
-        tx_beam=_nearest_beam(uav_array, uav_geom.cosines()),
-        rx_beam=_nearest_beam(bs_array, bs_geom.cosines()),
-        selected_at=t,
-    )
-
-
-def _nearest_beam(array: ArrayConfig, cos: tuple[float, float]) -> Beam:
-    """The codebook beam whose DFT bin is nearest the direction on each axis.
-
-    A beam's linear gain is a product of one Dirichlet kernel per axis,
-    |sin(pi n x) / sin(pi x)|, in the offset x = spacing * c - k / n (mod 1)
-    of the direction cosine c from bin k. For |x| <= 1/2n the kernel is at
-    least 1/sin(pi / 2n) and elsewhere at most that, so the nearest bin,
-    round(n * spacing * c) mod n, is the exhaustive-search optimum per axis.
-    """
-    k = int(_nearest_bin(array.n_h, array.spacing, cos[0]))
-    l = int(_nearest_bin(array.n_v, array.spacing, cos[1]))
-    return dft_codebook(array)[k * array.n_v + l]
-
-
-def _nearest_bin(n: int, spacing: float, c):
-    """round(n * spacing * c) mod n on one axis, halves to even, as float(s)."""
-    return np.rint(n * spacing * c) % n
-
-
 class BeamTracker:
     """Periodic beam-pair tracking with stale beams between updates.
 
-    At every multiple of the update period the pair is refreshed to the
-    exhaustive-search optimum for the instantaneous geometry, computed as the
-    nearest DFT bin per axis (genie-aided, no sweep airtime); between updates
-    the stored pair is evaluated against the true geometry, so motion shows up
-    as misalignment loss. Query times must be non-decreasing.
+    At every multiple of DEFAULT_UPDATE_PERIOD the pair is refreshed to the
+    exhaustive-search optimum for the instantaneous geometry (genie-aided, no
+    sweep airtime); between updates the stored pair is evaluated against the
+    true geometry, so motion shows up as misalignment loss.
+
+    The combined gain is a product of one gain per side, and each side's gain
+    a product of one Dirichlet kernel per axis, |sin(pi n x) / sin(pi x)|, in
+    the offset x = spacing * c - k / n (mod 1) of the direction cosine c from
+    bin k. For |x| <= 1/2n the kernel is at least 1/sin(pi / 2n) and elsewhere
+    at most that, so the optimum is the nearest bin per axis,
+    round(n * spacing * c) mod n. A direction exactly half a bin between two
+    beams ties them; it goes to the even bin (``np.rint`` halves to even).
     """
 
-    def __init__(
-        self,
-        bs_array: ArrayConfig,
-        uav_array: ArrayConfig,
-        update_period: float = DEFAULT_UPDATE_PERIOD,
-    ):
-        if update_period <= 0:
-            raise ValueError("update_period must be positive")
+    def __init__(self, bs_array: ArrayConfig, uav_array: ArrayConfig):
         self.bs_array = bs_array
         self.uav_array = uav_array
-        self.update_period = update_period
         self.pair: BeamPair | None = None
         self._epoch = -math.inf  # update period of the stored pair
         self._bins = (0, 0, 0, 0)  # its (tx k, tx l, rx k, rx l)
 
-    def gains_at(self, t: float, bs_geom: Geometry, uav_geom: Geometry) -> tuple[float, float]:
-        """(tx_gain_db, rx_gain_db) of the tracked pair at time ``t``."""
-        tx_lin, rx_lin = self.gains_at_cosines(t, bs_geom.cosines(), uav_geom.cosines())
-        return (
-            10.0 * math.log10(max(tx_lin, GAIN_FLOOR_LINEAR)),
-            10.0 * math.log10(max(rx_lin, GAIN_FLOOR_LINEAR)),
-        )
+    def gains_at_cosines(self, t: np.ndarray, bs_cos, uav_cos) -> tuple[np.ndarray, np.ndarray]:
+        """Linear (tx, rx) gains at non-decreasing times ``t``.
 
-    def gains_at_cosines(self, t, bs_cos, uav_cos):
-        """Linear (tx, rx) gains; refreshes the pair on update-period boundaries.
-
-        ``t`` and each cosine are scalars (floats returned) or equal-length
-        arrays of non-decreasing times (arrays returned). The pair is refreshed
-        at the first query of each update period and carries over between calls.
+        ``bs_cos`` and ``uav_cos`` each hold two arrays of direction cosines,
+        as long as ``t``. The pair is refreshed at the first query of each
+        update period and carries over between calls.
         """
-        scalar = np.ndim(t) == 0
-        t = np.atleast_1d(t)
         uav, bs = self.uav_array, self.bs_array
         axes = list(zip((uav.n_h, uav.n_v, bs.n_h, bs.n_v), (uav.spacing,) * 2 + (bs.spacing,) * 2,
-                        (np.atleast_1d(c) for c in (*uav_cos, *bs_cos))))
-        epoch = np.floor(t / self.update_period + 1e-9)
+                        (*uav_cos, *bs_cos)))
+        epoch = np.floor(t / DEFAULT_UPDATE_PERIOD + 1e-9)
         fresh = np.diff(epoch, prepend=self._epoch) > 0  # first query of an update period
         # Per query, the number of refreshes so far in this call: 0 is the carried pair.
         which = np.cumsum(fresh)
-        new_bins = [_nearest_bin(n, sp, c[fresh]) for n, sp, c in axes]
+        new_bins = [np.rint(n * sp * c[fresh]) % n for n, sp, c in axes]  # nearest bins
         d = [_dirichlet(n, sp * c - np.concatenate(([b], nb))[which] / n)
              for b, nb, (n, sp, c) in zip(self._bins, new_bins, axes)]
         if which[-1]:
@@ -204,10 +152,8 @@ class BeamTracker:
             self._bins = k, l, rk, rl = tuple(int(nb[-1]) for nb in new_bins)
             self.pair = BeamPair(tx_beam=dft_codebook(uav)[k * uav.n_v + l],
                                  rx_beam=dft_codebook(bs)[rk * bs.n_v + rl],
-                                 selected_at=self._epoch * self.update_period)
-        tx_lin = (d[0] * d[1]) ** 2 / uav.size
-        rx_lin = (d[2] * d[3]) ** 2 / bs.size
-        return (float(tx_lin[0]), float(rx_lin[0])) if scalar else (tx_lin, rx_lin)
+                                 selected_at=self._epoch * DEFAULT_UPDATE_PERIOD)
+        return (d[0] * d[1]) ** 2 / uav.size, (d[2] * d[3]) ** 2 / bs.size
 
 
 def _dirichlet(n: int, x: np.ndarray) -> np.ndarray:

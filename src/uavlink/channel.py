@@ -1,5 +1,6 @@
-"""Single-ray LOS link quality: free-space pathloss, correlated shadowing,
-Doppler, and the SNR link budget."""
+"""Single-ray LOS link quality terms: free-space pathloss, correlated
+shadowing, Doppler and the noise floor. The link budget that sums them is
+``simulation.channel_pass``."""
 
 from __future__ import annotations
 
@@ -8,11 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mobility import MobilityState
-
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 THERMAL_NOISE_DBM_HZ = -174.0
 FSPL_MIN_DISTANCE = 1.0  # m, formula validity floor
+DECORRELATION_DISTANCE = 10.0  # m, shadowing correlation length
 
 
 @dataclass(frozen=True)
@@ -33,40 +33,37 @@ class LinkProfile:
 class ShadowingField:
     """Log-normal shadowing, spatially correlated along the query path.
 
-    Gauss-Markov update per query: correlation decays as exp(-d/decorrelation)
-    with the distance moved since the previous query, so the stationary
-    standard deviation is exactly ``sigma`` for any step pattern. Deterministic
-    given (seed, query sequence); a zero-distance step repeats the last value.
+    Gauss-Markov update per query: correlation decays as
+    exp(-d / DECORRELATION_DISTANCE) with the distance moved since the previous
+    query, so the stationary standard deviation is exactly ``sigma`` for any
+    step pattern. Deterministic given (seed, query sequence); a zero-distance
+    step repeats the last value.
     """
 
     sigma: float = 4.0  # dB
-    decorrelation_distance: float = 10.0  # m
     seed: int = 0
 
     def __post_init__(self):
         if self.sigma < 0:
             raise ValueError("sigma must be non-negative")
-        if self.decorrelation_distance <= 0:
-            raise ValueError("decorrelation_distance must be positive")
         self._rng = np.random.default_rng(self.seed)
         self._last = None  # [x, y, z] of the previous query, each of shape (1,)
         self._last_val = 0.0
 
-    def sample_at(self, x, y, z):
-        """Shadowing in dB at a position, advancing the along-path process.
+    def sample_at(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Shadowing in dB at points of a path, advancing the along-path process.
 
-        Scalars give a float; equal-length arrays give one value per point,
-        in path order, equal up to rounding to one scalar call per point.
+        ``x``, ``y`` and ``z`` are equal-length arrays; one value per point,
+        in path order, equal up to rounding to the per-point recursion.
         """
-        scalar = np.ndim(x) == 0
-        pos = np.atleast_1d(x, y, z)
-        n = len(pos[0])
+        pos = (x, y, z)
+        n = len(x)
         if self.sigma == 0.0:
-            return 0.0 if scalar else np.zeros(n)
+            return np.zeros(n)
         last = [c[:1] for c in pos] if self._last is None else self._last
         dx, dy, dz = (np.diff(c, prepend=p) for c, p in zip(pos, last))
         # Decay exponent of each step; the first query ever decays fully (rho = 0).
-        decay = np.sqrt(dx * dx + dy * dy + dz * dz) / self.decorrelation_distance
+        decay = np.sqrt(dx * dx + dy * dy + dz * dz) / DECORRELATION_DISTANCE
         if self._last is None:
             decay[0] = np.inf
         rho = np.exp(-decay)
@@ -84,27 +81,7 @@ class ShadowingField:
             vals[b:e] = (rho[b] * val + np.cumsum(grow * innov[b:e])) / grow
             val = vals[e - 1]
         self._last, self._last_val = [c[-1:].copy() for c in pos], val
-        return float(val) if scalar else vals
-
-
-@dataclass(frozen=True)
-class ChannelSample:
-    """Instantaneous link snapshot; carries every term of its own link budget.
-
-    The single-ray model applies the Doppler shift as a carrier phase rotation
-    only, so ``doppler_shift`` never enters ``snr``.
-    """
-
-    t: float
-    distance_3d: float  # m
-    pathloss: float  # dB (free-space term)
-    shadowing: float  # dB
-    doppler_shift: float  # Hz, positive when closing on the BS
-    tx_gain: float  # dB
-    rx_gain: float  # dB
-    tx_power: float  # dBm
-    noise_floor: float  # dBm
-    snr: float  # dB
+        return vals
 
 
 def fspl_db(distance_3d, carrier_freq: float):
@@ -123,40 +100,3 @@ def doppler_shift(radial_speed: float, carrier_freq: float) -> float:
 def noise_floor_dbm(bandwidth: float, noise_figure: float) -> float:
     """Thermal noise power over ``bandwidth`` Hz plus the receiver noise figure."""
     return THERMAL_NOISE_DBM_HZ + 10.0 * math.log10(bandwidth) + noise_figure
-
-
-def sample_channel(
-    profile: LinkProfile,
-    ue_state: MobilityState,
-    bs_position: tuple[float, float, float],
-    tx_gain: float,
-    rx_gain: float,
-    shadowing: ShadowingField,
-    t: float,
-) -> ChannelSample:
-    """Compose one link-budget snapshot for the given geometry and beam gains."""
-    ux, uy, uz = ue_state.position
-    bx, by, bz = bs_position
-    dx, dy, dz = bx - ux, by - uy, bz - uz
-    dist = math.sqrt(dx * dx + dy * dy + dz * dz)
-    pl = fspl_db(dist, profile.carrier_freq)
-    sh = shadowing.sample_at(ux, uy, uz)
-    vx, vy, vz = ue_state.velocity
-    if dist > 0.0:
-        closing = (vx * dx + vy * dy + vz * dz) / dist
-    else:
-        closing = 0.0
-    nf = noise_floor_dbm(profile.bandwidth, profile.noise_figure)
-    snr = profile.tx_power + tx_gain + rx_gain - pl - sh - nf
-    return ChannelSample(
-        t=t,
-        distance_3d=dist,
-        pathloss=pl,
-        shadowing=sh,
-        doppler_shift=doppler_shift(closing, profile.carrier_freq),
-        tx_gain=tx_gain,
-        rx_gain=rx_gain,
-        tx_power=profile.tx_power,
-        noise_floor=nf,
-        snr=snr,
-    )

@@ -89,10 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config_file(path: str, parser: argparse.ArgumentParser) -> None:
     """Let an INI [scenario] section provide defaults that flags override."""
-    ini = configparser.ConfigParser()
+    ini = configparser.ConfigParser(interpolation=None)  # every value is literal
     try:
         found = ini.read(path)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ValueError(f"config file {path}: {exc}") from None
     if not found:
         raise ValueError(f"config file not found: {path}")

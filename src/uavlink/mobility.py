@@ -69,6 +69,10 @@ class FlightTrace:
         for a, b in zip(self.points, self.points[1:]):
             if b.t <= a.t:
                 raise ValueError(f"timestamps not strictly increasing at t={b.t}")
+            inv_dt = 1.0 / (b.t - a.t)  # as TrajectorySampler computes the velocity
+            if not all(math.isfinite((q - p) * inv_dt) for p, q in zip(
+                    (a.x, a.y, a.z), (b.x, b.y, b.z))):
+                raise ValueError(f"non-finite velocity in the step ending at t={b.t}")
 
     @property
     def duration(self) -> float:
@@ -81,14 +85,6 @@ class FlightTrace:
             sum(p.y for p in self.points) / n,
             sum(p.z for p in self.points) / n,
         )
-
-
-@dataclass(frozen=True)
-class MobilityState:
-    """Position and velocity of the UAV at one instant."""
-
-    position: tuple[float, float, float]
-    velocity: tuple[float, float, float]
 
 
 def latlon_to_xy(p: GeoPoint, ref: GeoPoint) -> tuple[float, float]:
@@ -179,16 +175,6 @@ def decimate(trace: FlightTrace, min_spacing: float) -> FlightTrace:
     if kept[-1].t != last.t:
         kept.append(last)
     return FlightTrace(origin=trace.origin, points=tuple(kept))
-
-
-def state_at(trace: FlightTrace, t: float) -> MobilityState:
-    """Piecewise-linear position/velocity at time ``t``.
-
-    Outside the trace span the position clamps to the nearest endpoint with
-    zero velocity.
-    """
-    pos, vel = TrajectorySampler(trace).track(np.array([t]))
-    return MobilityState(tuple(pos[:, 0].tolist()), tuple(vel[:, 0].tolist()))
 
 
 class TrajectorySampler:

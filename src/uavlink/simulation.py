@@ -9,7 +9,7 @@ import os
 import random
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,13 +20,7 @@ from .beamforming import (
     BeamTracker,
     array_basis,
 )
-from .channel import (
-    ChannelSample,
-    ShadowingField,
-    doppler_shift,
-    fspl_db,
-    noise_floor_dbm,
-)
+from .channel import ShadowingField, doppler_shift, fspl_db, noise_floor_dbm
 from .mobility import FlightTrace, TrajectorySampler
 from .phy import Outcome, RatProfile, TransportBlock, harq_step
 
@@ -45,8 +39,13 @@ OUTCOME_NAMES = ("in_flight", "delivered", "dropped_buffer", "dropped_harq")
 PACKET_CSV_HEADER = ("seq", "t_gen_s", "t_deliver_s", "size_bits", "outcome")
 SNR_CSV_HEADER = ("t_s", "distance_m", "snr_db", "tx_gain_db", "rx_gain_db")
 
-# One record per recorded channel sample, with ChannelSample's fields.
-SAMPLE_DTYPE = np.dtype([(f.name, np.float64) for f in fields(ChannelSample)])
+# One record per recorded channel sample, every term of its own link budget:
+# time (s), distance (m), pathloss and shadowing (dB), Doppler (Hz, positive when
+# closing on the BS), tx and rx gains (dB), tx power and noise floor (dBm), SNR
+# (dB). Doppler is a carrier phase rotation only, so it never enters snr.
+SAMPLE_DTYPE = np.dtype([(name, np.float64) for name in (
+    "t", "distance_3d", "pathloss", "shadowing", "doppler_shift", "tx_gain", "rx_gain",
+    "tx_power", "noise_floor", "snr")])
 
 _T_EPS = 1e-9
 _CHUNK_SLOTS = 2048  # channel-stage chunk; its temporaries add to peak RSS (4096: +2.8 %)
@@ -87,6 +86,9 @@ class ScenarioConfig:
             raise ValueError(f"source_rate must be positive and finite, got {self.source_rate}")
         if self.payload <= 0:
             raise ValueError("payload must be positive")
+        if not math.isfinite(self.payload * 8 / self.source_rate):
+            raise ValueError(f"source_rate {self.source_rate} is too small: "
+                             "the packet interarrival time overflows")
         if self.header_overhead < 0:
             raise ValueError("header_overhead must be non-negative")
         check_sim_window(self.sim_window)
@@ -98,7 +100,7 @@ class ScenarioConfig:
 class MetricsLog:
     """Per-packet columns (one row per generated packet, in seq order) and the
     recorded channel samples of one run: ``snr_series.snr`` is a column, and
-    each element reads ``.snr``, ``.tx_gain``, ... like a ChannelSample."""
+    each element reads ``.snr``, ``.tx_gain``, ... (the SAMPLE_DTYPE fields)."""
 
     config: ScenarioConfig
     t_gen: np.ndarray  # float64, s
@@ -354,31 +356,6 @@ def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.n
     t_gen = np.arange(n_gen, dtype=np.float64)
     t_gen *= interarrival  # bit-equal to n * interarrival
     return t_gen, t_del_arr[:n_gen], outcome_arr[:n_gen]
-
-
-def pdcp_throughput(log: MetricsLog, window: float) -> list[tuple[float, float]]:
-    """Delivered PDCP bits (payload plus headers) per ``window``, as b/s bins."""
-    if window <= 0:
-        raise ValueError("window must be positive")
-    sim_window = log.config.sim_window
-    n_bins = max(1, math.ceil(sim_window / window - _T_EPS)) if sim_window > 0 else 0
-    td = log.t_deliver[log.outcome == DELIVERED]
-    packets = np.bincount(np.minimum((td / window).astype(np.int64), n_bins - 1), minlength=n_bins)
-    return [(i * window, n * log.packet_bits / window) for i, n in enumerate(packets.tolist())]
-
-
-def latency_series(log: MetricsLog, interval: float) -> list[tuple[float, float]]:
-    """Mean one-way latency per interval of generation time; NaN marks gaps."""
-    if interval <= 0:
-        raise ValueError("interval must be positive")
-    sim_window = log.config.sim_window
-    n_bins = max(1, math.ceil(sim_window / interval - _T_EPS)) if sim_window > 0 else 0
-    delivered = log.outcome == DELIVERED
-    tg, td = log.t_gen[delivered], log.t_deliver[delivered]
-    bins = np.minimum((tg / interval).astype(np.int64), n_bins - 1)
-    sums = np.bincount(bins, weights=td - tg, minlength=n_bins).tolist()  # summed in order
-    counts = np.bincount(bins, minlength=n_bins).tolist()
-    return [(i * interval, s / c if c else math.nan) for i, (s, c) in enumerate(zip(sums, counts))]
 
 
 def summarize(log: MetricsLog) -> Summary:

@@ -11,23 +11,22 @@ import time
 import numpy as np
 import pytest
 
+from channel_oracle import best_gain_db
 from uavlink.beamforming import (
+    GAIN_FLOOR_LINEAR,
     ArrayConfig,
     BeamTracker,
     Geometry,
-    beam_gain_db,
-    best_beam_pair,
     dft_codebook,
     parse_antenna_combo,
     steering_vector,
 )
 from uavlink.campaign import build_scenario
-from uavlink.channel import ShadowingField, doppler_shift, fspl_db, sample_channel
-from uavlink.channel import LinkProfile
+from uavlink.channel import ShadowingField, doppler_shift, fspl_db
 from uavlink.missions import MissionArchetype, synth_trace
-from uavlink.mobility import MobilityState
+from uavlink.mobility import TrajectorySampler
 from uavlink.phy import default_mcs_table, select_mcs
-from uavlink.simulation import run, summarize
+from uavlink.simulation import channel_pass, run, summarize
 
 SEED = 42
 TRACE = synth_trace(MissionArchetype("overwatch_orbit"), seed=1)
@@ -108,11 +107,7 @@ def test_criterion_5_antenna_gain_gap():
     gaps = []
     for combo in ("64x16", "16x4"):
         bs, uav = parse_antenna_combo(combo)
-        pair = best_beam_pair(bs, uav, boresight, boresight, 0.0)
-        gaps.append(
-            beam_gain_db(uav, pair.tx_beam, boresight)
-            + beam_gain_db(bs, pair.rx_beam, boresight)
-        )
+        gaps.append(best_gain_db(uav, boresight) + best_gain_db(bs, boresight))
     aligned_gap = gaps[0] - gaps[1]
     _, s64, _ = cell("o64", "mmwave", "64x16", 1000e6, "on_premise")
     _, s16, _ = cell("o16", "mmwave", "16x4", 1000e6, "on_premise")
@@ -142,7 +137,7 @@ def test_criterion_6_distance_ordering():
     assert deg16 > 5.0
 
 
-def test_criterion_7_property_suite():
+def test_criterion_7_property_suite(monkeypatch):
     t0 = time.perf_counter()
 
     # Link-budget identity on every emitted channel sample of a real run.
@@ -152,31 +147,38 @@ def test_criterion_7_property_suite():
                    - smp.pathloss - smp.shadowing - smp.noise_floor)
         assert abs(smp.snr - rebuilt) < 1e-9
 
-    # Doppler invariance of SNR: phase-only single-ray model.
-    link = LinkProfile(28.0, 1e9, 30.0, 5.0)
-    for v in (0.0, 5.0, -20.0):
-        field = ShadowingField(sigma=4.0, decorrelation_distance=10.0, seed=9)
-        smp = sample_channel(
-            link, MobilityState((40.0, 0.0, 30.0), (v, 0.0, 0.0)),
-            (0.0, 0.0, 25.0), 6.0, 9.0, field, 0.0,
-        )
-        if v == 0.0:
-            base_snr = smp.snr
-        assert smp.snr == base_snr
+    # Doppler invariance of SNR: phase-only single-ray model. The same
+    # positions with the velocities offset along x.
+    cfg = build_scenario(TRACE, "mmwave", "64x16", 10e6, "on_premise", SEED, 1.0)
+    base_snr, base = channel_pass(cfg, ShadowingField(sigma=4.0, seed=9))
+    track = TrajectorySampler.track
+    for v in (5.0, -20.0):
+        def offset_track(sampler, t, v=v):
+            pos, vel = track(sampler, t)
+            return pos, vel + [[v], [0.0], [0.0]]
+
+        monkeypatch.setattr(TrajectorySampler, "track", offset_track)
+        snr, smp = channel_pass(cfg, ShadowingField(sigma=4.0, seed=9))
+        monkeypatch.undo()
+        assert np.array_equal(snr, base_snr)
+        assert np.array_equal(smp.snr, base.snr)
+        assert not np.array_equal(smp.doppler_shift, base.doppler_shift)
 
     # Tracked gain never beats the refreshed optimum.
     bs, uav = parse_antenna_combo("16x4")
-    tracker = BeamTracker(bs, uav)
     rng = random.Random(4)
     az = el = 0.0
-    for i in range(300):
-        t = i * 1e-3
+    geoms = []
+    for _ in range(300):
         az = max(-3.0, min(3.0, az + rng.uniform(-0.08, 0.08)))
         el = max(-1.4, min(1.4, el + rng.uniform(-0.03, 0.03)))
-        geom = Geometry(azimuth=az, elevation=el)
-        tx_db, rx_db = tracker.gains_at(t, geom, geom)
-        pair = best_beam_pair(bs, uav, geom, geom, t)
-        best = beam_gain_db(uav, pair.tx_beam, geom) + beam_gain_db(bs, pair.rx_beam, geom)
+        geoms.append(Geometry(azimuth=az, elevation=el))
+    cos = np.array([g.cosines() for g in geoms]).T
+    tx, rx = BeamTracker(bs, uav).gains_at_cosines(np.arange(300) * 1e-3, cos, cos)
+    for g_tx, g_rx, geom in zip(tx, rx, geoms):
+        tx_db = 10 * math.log10(max(g_tx, GAIN_FLOOR_LINEAR))
+        rx_db = 10 * math.log10(max(g_rx, GAIN_FLOOR_LINEAR))
+        best = best_gain_db(uav, geom) + best_gain_db(bs, geom)
         assert tx_db + rx_db <= best + 1e-9
 
     # Packet conservation on every cached run.

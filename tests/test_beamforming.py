@@ -4,14 +4,15 @@ import random
 import numpy as np
 import pytest
 
+from channel_oracle import best_beam, best_gain_db
 from uavlink.beamforming import (
     DEFAULT_UPDATE_PERIOD,
+    GAIN_FLOOR_LINEAR,
     ArrayConfig,
     BeamTracker,
     Geometry,
     array_basis,
     beam_gain_db,
-    best_beam_pair,
     dft_codebook,
     geometry_toward,
     parse_antenna_combo,
@@ -19,6 +20,24 @@ from uavlink.beamforming import (
 )
 
 BORESIGHT = Geometry(azimuth=0.0, elevation=0.0)
+
+
+def cosine_arrays(*geoms):
+    """Each geometry's two direction cosines as one-element arrays."""
+    return [tuple(np.array([c]) for c in g.cosines()) for g in geoms]
+
+
+def gains_db(tracker, t, bs_geom, uav_geom):
+    """(tx, rx) gains in dB of the tracked pair, from one query at time ``t``."""
+    tx, rx = tracker.gains_at_cosines(np.array([t]), *cosine_arrays(bs_geom, uav_geom))
+    return tuple(10 * math.log10(max(g[0], GAIN_FLOOR_LINEAR)) for g in (tx, rx))
+
+
+def refreshed_pair(bs, uav, bs_geom, uav_geom):
+    """The pair a new tracker selects at its first query."""
+    tracker = BeamTracker(bs, uav)
+    gains_db(tracker, 0.0, bs_geom, uav_geom)
+    return tracker.pair
 
 
 def random_geometry(rng) -> Geometry:
@@ -111,12 +130,14 @@ class TestBeamGain:
                     ArrayConfig(3, 3, 0.7), ArrayConfig(5, 1, 0.3)):
             for _ in range(30):
                 tracker = BeamTracker(arr, arr)
-                tracker.gains_at_cosines(0.0, random_geometry(rng).cosines(),
-                                         random_geometry(rng).cosines())
+                tracker.gains_at_cosines(np.array([0.0]), *cosine_arrays(random_geometry(rng),
+                                                                         random_geometry(rng)))
                 bs_geom, uav_geom = random_geometry(rng), random_geometry(rng)
-                tx, rx = tracker.gains_at_cosines(1e-3, bs_geom.cosines(), uav_geom.cosines())
+                tx, rx = tracker.gains_at_cosines(np.array([1e-3]),
+                                                  *cosine_arrays(bs_geom, uav_geom))
                 pair = tracker.pair
-                for fast, beam, geom in ((tx, pair.tx_beam, uav_geom), (rx, pair.rx_beam, bs_geom)):
+                for fast, beam, geom in ((tx[0], pair.tx_beam, uav_geom),
+                                         (rx[0], pair.rx_beam, bs_geom)):
                     direct = arr.size * abs(np.vdot(beam.weights, steering_vector(arr, geom))) ** 2
                     assert fast == pytest.approx(direct, abs=1e-9)
 
@@ -124,7 +145,7 @@ class TestBeamGain:
 class TestBestBeamPair:
     def test_grid_point_combined_gain(self):
         bs, uav = parse_antenna_combo("64x16")
-        pair = best_beam_pair(bs, uav, BORESIGHT, BORESIGHT, 0.0)
+        pair = refreshed_pair(bs, uav, BORESIGHT, BORESIGHT)
         total = beam_gain_db(uav, pair.tx_beam, BORESIGHT) + beam_gain_db(
             bs, pair.rx_beam, BORESIGHT
         )
@@ -133,8 +154,8 @@ class TestBestBeamPair:
     def test_combined_gain_gap_between_combos(self):
         bs64, uav16 = parse_antenna_combo("64x16")
         bs16, uav4 = parse_antenna_combo("16x4")
-        big = best_beam_pair(bs64, uav16, BORESIGHT, BORESIGHT, 0.0)
-        small = best_beam_pair(bs16, uav4, BORESIGHT, BORESIGHT, 0.0)
+        big = refreshed_pair(bs64, uav16, BORESIGHT, BORESIGHT)
+        small = refreshed_pair(bs16, uav4, BORESIGHT, BORESIGHT)
         g_big = beam_gain_db(uav16, big.tx_beam, BORESIGHT) + beam_gain_db(
             bs64, big.rx_beam, BORESIGHT
         )
@@ -146,7 +167,7 @@ class TestBestBeamPair:
 
     def test_single_beam_arrays(self):
         one = ArrayConfig(1, 1)
-        pair = best_beam_pair(one, one, BORESIGHT, BORESIGHT, 0.0)
+        pair = refreshed_pair(one, one, BORESIGHT, BORESIGHT)
         total = beam_gain_db(one, pair.tx_beam, BORESIGHT) + beam_gain_db(
             one, pair.rx_beam, BORESIGHT
         )
@@ -157,13 +178,13 @@ class TestBestBeamPair:
         bs, uav = parse_antenna_combo("16x4")
         for _ in range(25):
             bg, ug = random_geometry(rng), random_geometry(rng)
-            p1 = best_beam_pair(bs, uav, bg, ug, 0.0)
-            p2 = best_beam_pair(bs, uav, bg, ug, 0.0)
+            p1 = refreshed_pair(bs, uav, bg, ug)
+            p2 = refreshed_pair(bs, uav, bg, ug)
             assert (p1.tx_beam.index, p1.rx_beam.index) == (p2.tx_beam.index, p2.rx_beam.index)
 
     def test_beats_every_other_pair(self):
-        # Brute force over every tx/rx pair pins the closed-form search, also
-        # for odd arrays and spacings other than half a wavelength.
+        # Brute force over every tx/rx pair pins the tracker's nearest-bin
+        # refresh, also for odd arrays and spacings other than half a wavelength.
         rng = random.Random(6)
         combos = (
             (ArrayConfig(2, 2), ArrayConfig(2, 1)),
@@ -174,7 +195,7 @@ class TestBestBeamPair:
         for bs, uav in combos:
             for _ in range(10):
                 bg, ug = random_geometry(rng), random_geometry(rng)
-                pair = best_beam_pair(bs, uav, bg, ug, 0.0)
+                pair = refreshed_pair(bs, uav, bg, ug)
                 best = beam_gain_db(uav, pair.tx_beam, ug) + beam_gain_db(bs, pair.rx_beam, bg)
                 rx_gains = [beam_gain_db(bs, rb, bg) for rb in dft_codebook(bs)]
                 for tb in dft_codebook(uav):
@@ -191,11 +212,12 @@ class TestBestBeamPair:
             (0.0, 0.25, 0.75, (0, 2), 1),
             (DEFAULT_UPDATE_PERIOD, -0.25, -0.75, (0, 2), 3),
         ):
-            _, rx_lin = tracker.gains_at_cosines(t, (bs_c, 0.0), (uav_c, 0.0))
+            _, rx_lin = tracker.gains_at_cosines(np.array([t]), (np.array([bs_c]), np.zeros(1)),
+                                                 (np.array([uav_c]), np.zeros(1)))
             assert (tracker.pair.rx_beam.k, tracker.pair.tx_beam.k) == expect
             geom = Geometry(azimuth=math.asin(bs_c), elevation=0.0)
             tied = beam_gain_db(arr, dft_codebook(arr)[rx_tied], geom)
-            assert tied == pytest.approx(10 * math.log10(rx_lin), abs=1e-9)
+            assert tied == pytest.approx(10 * math.log10(rx_lin[0]), abs=1e-9)
 
 
 class TestTracker:
@@ -203,57 +225,51 @@ class TestTracker:
         bs, uav = parse_antenna_combo("64x16")
         tracker = BeamTracker(bs, uav)
         geom = Geometry(azimuth=0.3, elevation=-0.2)
-        tx_db, rx_db = tracker.gains_at(0.0, geom, BORESIGHT)
-        pair = best_beam_pair(bs, uav, geom, BORESIGHT, 0.0)
-        expect_tx = beam_gain_db(uav, pair.tx_beam, BORESIGHT)
-        expect_rx = beam_gain_db(bs, pair.rx_beam, geom)
-        assert tx_db == pytest.approx(expect_tx, abs=1e-9)
-        assert rx_db == pytest.approx(expect_rx, abs=1e-9)
+        tx_db, rx_db = gains_db(tracker, 0.0, geom, BORESIGHT)
+        assert tracker.pair.tx_beam == best_beam(uav, BORESIGHT)
+        assert tracker.pair.rx_beam == best_beam(bs, geom)
+        assert tx_db == pytest.approx(best_gain_db(uav, BORESIGHT), abs=1e-9)
+        assert rx_db == pytest.approx(best_gain_db(bs, geom), abs=1e-9)
 
     def test_static_geometry_constant_between_updates(self):
         bs, uav = parse_antenna_combo("16x4")
         tracker = BeamTracker(bs, uav)
         geom = Geometry(azimuth=0.1, elevation=0.05)
-        g0 = tracker.gains_at(0.0, geom, BORESIGHT)
+        g0 = gains_db(tracker, 0.0, geom, BORESIGHT)
         for t in (1e-3, 2.5e-3, 4.9e-3):
-            assert tracker.gains_at(t, geom, BORESIGHT) == g0
+            assert gains_db(tracker, t, geom, BORESIGHT) == g0
 
     def test_stale_pair_loses_then_recovers(self):
         # Crossing most of a beamwidth between updates: stale gain dips, the
         # next 5 ms boundary restores the refreshed value.
         bs, uav = ArrayConfig(8, 8), ArrayConfig(1, 1)
         tracker = BeamTracker(bs, uav)
-        start = BORESIGHT
         half_beam = Geometry(azimuth=math.asin(1.5 / 8.0), elevation=0.0)
-        fresh_tx, fresh_rx = tracker.gains_at(0.0, start, BORESIGHT)
-        stale_tx, stale_rx = tracker.gains_at(4.9e-3, half_beam, BORESIGHT)
+        _, fresh_rx = gains_db(tracker, 0.0, BORESIGHT, BORESIGHT)
+        _, stale_rx = gains_db(tracker, 4.9e-3, half_beam, BORESIGHT)
         assert stale_rx < fresh_rx - 3.0
-        re_tx, re_rx = tracker.gains_at(5e-3, half_beam, BORESIGHT)
-        pair = best_beam_pair(bs, uav, half_beam, BORESIGHT, 0.0)
-        assert re_rx == pytest.approx(beam_gain_db(bs, pair.rx_beam, half_beam), abs=1e-9)
+        _, re_rx = gains_db(tracker, 5e-3, half_beam, BORESIGHT)
+        assert re_rx == pytest.approx(best_gain_db(bs, half_beam), abs=1e-9)
         assert re_rx > stale_rx
 
     def test_tracked_never_beats_refreshed(self):
         rng = random.Random(7)
         bs, uav = parse_antenna_combo("16x4")
-        tracker = BeamTracker(bs, uav)
-        t = 0.0
-        az, el = 0.0, 0.0
-        for _ in range(400):
-            t += 1e-3
-            az += rng.uniform(-0.05, 0.05)
-            el += rng.uniform(-0.02, 0.02)
-            az = max(-3.0, min(3.0, az))
-            el = max(-1.4, min(1.4, el))
-            geom = Geometry(azimuth=az, elevation=el)
-            tx_db, rx_db = tracker.gains_at(t, geom, geom)
-            pair = best_beam_pair(bs, uav, geom, geom, t)
-            best = beam_gain_db(uav, pair.tx_beam, geom) + beam_gain_db(bs, pair.rx_beam, geom)
-            assert tx_db + rx_db <= best + 1e-9
+        t = np.arange(1, 401) * 1e-3
+        az, el, geoms = 0.0, 0.0, []
+        for _ in t:
+            az = max(-3.0, min(3.0, az + rng.uniform(-0.05, 0.05)))
+            el = max(-1.4, min(1.4, el + rng.uniform(-0.02, 0.02)))
+            geoms.append(Geometry(azimuth=az, elevation=el))
+        cos = np.array([g.cosines() for g in geoms]).T
+        tx, rx = BeamTracker(bs, uav).gains_at_cosines(t, cos, cos)
+        for g_tx, g_rx, geom in zip(tx, rx, geoms):
+            best = best_gain_db(uav, geom) + best_gain_db(bs, geom)
+            assert 10 * math.log10(g_tx * g_rx) <= best + 1e-9
 
     def test_array_queries_match_scalar_calls(self):
         # Two array calls (the second starts mid-epoch, so the pair carries
-        # over) against one scalar call per query.
+        # over) against one call per query.
         rng = np.random.default_rng(3)
         bs, uav = parse_antenna_combo("16x4")
         t = np.sort(rng.uniform(0.0, 0.05, 600))
@@ -262,19 +278,20 @@ class TestTracker:
         arrays, scalars = BeamTracker(bs, uav), BeamTracker(bs, uav)
         got = np.hstack([arrays.gains_at_cosines(t[a:b], cos[:2, a:b], cos[2:, a:b])
                          for a, b in ((0, 250), (250, 600))])
-        expect = [scalars.gains_at_cosines(t[i], cos[:2, i], cos[2:, i]) for i in range(600)]
-        assert all(type(g) is float for g in expect[0])
-        assert np.array_equal(got, np.array(expect).T)
+        expect = np.hstack([scalars.gains_at_cosines(t[i:i + 1], cos[:2, i:i + 1], cos[2:, i:i + 1])
+                            for i in range(600)])
+        assert np.array_equal(got, expect)
         assert arrays.pair == scalars.pair
 
     def test_selected_at_is_period_multiple(self):
         bs, uav = parse_antenna_combo("16x4")
         tracker = BeamTracker(bs, uav)
         geom = Geometry(azimuth=0.2, elevation=0.0)
-        tracker.gains_at(0.0, geom, BORESIGHT)
-        tracker.gains_at(0.0123, geom, BORESIGHT)
-        ratio = tracker.pair.selected_at / tracker.update_period
+        gains_db(tracker, 0.0, geom, BORESIGHT)
+        gains_db(tracker, 0.0123, geom, BORESIGHT)
+        ratio = tracker.pair.selected_at / DEFAULT_UPDATE_PERIOD
         assert ratio == pytest.approx(round(ratio), abs=1e-9)
+        assert tracker.pair.selected_at == pytest.approx(0.010, abs=1e-12)
 
 
 class TestPlumbing:

@@ -4,17 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from uavlink.channel import (
-    LinkProfile,
-    ShadowingField,
-    doppler_shift,
-    fspl_db,
-    noise_floor_dbm,
-    sample_channel,
-)
-from uavlink.mobility import MobilityState
-
-MMWAVE = LinkProfile(carrier_freq=28.0, bandwidth=1e9, tx_power=30.0, noise_figure=5.0)
+from channel_oracle import gauss_markov_shadowing
+from uavlink.beamforming import ArrayConfig
+from uavlink.channel import ShadowingField, doppler_shift, fspl_db, noise_floor_dbm
+from uavlink.mobility import FlightTrace, GeoPoint, TrajectorySampler, Waypoint
+from uavlink.phy import mmwave_profile
+from uavlink.simulation import ScenarioConfig, channel_pass
 
 
 class TestFspl:
@@ -76,53 +71,46 @@ class TestDoppler:
             assert abs(doppler_shift(v, fc) - oracle) < 1e-6
 
 
+def along_x(step, n):
+    """``n`` points ``step`` m apart along x at 30 m, as (x, y, z) arrays."""
+    return np.arange(n) * step, np.zeros(n), np.full(n, 30.0)
+
+
+def lag_one_correlation(vals):
+    a, b = vals[:-1], vals[1:]
+    return float(np.corrcoef(a, b)[0, 1])
+
+
 class TestShadowing:
     def test_same_position_same_value(self):
-        field = ShadowingField(sigma=4.0, decorrelation_distance=10.0, seed=3)
-        a = field.sample_at(5.0, 5.0, 5.0)
-        b = field.sample_at(5.0, 5.0, 5.0)
-        assert a == b
+        field = ShadowingField(sigma=4.0, seed=3)
+        here = (np.array([5.0]), np.array([5.0]), np.array([5.0]))
+        a = field.sample_at(*here)
+        b = field.sample_at(*here)
+        assert a[0] == b[0]
 
     def test_reproducible_across_instances(self):
-        queries = [(i * 3.0, i * 1.0, 30.0) for i in range(50)]
-        f1 = ShadowingField(sigma=4.0, decorrelation_distance=10.0, seed=11)
-        f2 = ShadowingField(sigma=4.0, decorrelation_distance=10.0, seed=11)
-        assert [f1.sample_at(*q) for q in queries] == [f2.sample_at(*q) for q in queries]
+        i = np.arange(50.0)
+        queries = (i * 3.0, i * 1.0, np.full(50, 30.0))
+        f1 = ShadowingField(sigma=4.0, seed=11)
+        f2 = ShadowingField(sigma=4.0, seed=11)
+        assert np.array_equal(f1.sample_at(*queries), f2.sample_at(*queries))
 
     def test_std_over_separated_positions(self):
-        field = ShadowingField(sigma=4.0, decorrelation_distance=10.0, seed=4)
-        vals = [field.sample_at(i * 100.0, 0.0, 30.0) for i in range(10_000)]
-        mean = sum(vals) / len(vals)
-        std = math.sqrt(sum((v - mean) ** 2 for v in vals) / (len(vals) - 1))
-        assert std == pytest.approx(4.0, rel=0.05)
+        vals = ShadowingField(sigma=4.0, seed=4).sample_at(*along_x(100.0, 10_000))
+        assert np.std(vals, ddof=1) == pytest.approx(4.0, rel=0.05)
 
     def test_decorrelated_at_ten_lengths(self):
-        field = ShadowingField(sigma=4.0, decorrelation_distance=10.0, seed=5)
-        vals = [field.sample_at(i * 100.0, 0.0, 30.0) for i in range(10_001)]
-        a, b = vals[:-1], vals[1:]
-        ma = sum(a) / len(a)
-        mb = sum(b) / len(b)
-        cov = sum((x - ma) * (y - mb) for x, y in zip(a, b)) / len(a)
-        va = sum((x - ma) ** 2 for x in a) / len(a)
-        vb = sum((y - mb) ** 2 for y in b) / len(b)
-        rho = cov / math.sqrt(va * vb)
-        assert abs(rho) < 0.05
+        vals = ShadowingField(sigma=4.0, seed=5).sample_at(*along_x(100.0, 10_001))
+        assert abs(lag_one_correlation(vals)) < 0.05
 
     def test_correlated_at_short_steps(self):
-        field = ShadowingField(sigma=4.0, decorrelation_distance=10.0, seed=6)
-        vals = [field.sample_at(i * 1.0, 0.0, 30.0) for i in range(5_001)]
-        a, b = vals[:-1], vals[1:]
-        ma = sum(a) / len(a)
-        mb = sum(b) / len(b)
-        cov = sum((x - ma) * (y - mb) for x, y in zip(a, b)) / len(a)
-        va = sum((x - ma) ** 2 for x in a) / len(a)
-        vb = sum((y - mb) ** 2 for y in b) / len(b)
-        rho = cov / math.sqrt(va * vb)
-        assert rho == pytest.approx(math.exp(-0.1), abs=0.05)
+        vals = ShadowingField(sigma=4.0, seed=6).sample_at(*along_x(1.0, 5_001))
+        assert lag_one_correlation(vals) == pytest.approx(math.exp(-0.1), abs=0.05)
 
     def test_zero_sigma(self):
-        field = ShadowingField(sigma=0.0, decorrelation_distance=10.0, seed=7)
-        assert field.sample_at(1.0, 2.0, 3.0) == 0.0
+        field = ShadowingField(sigma=0.0, seed=7)
+        assert field.sample_at(np.array([1.0]), np.array([2.0]), np.array([3.0]))[0] == 0.0
 
 
 class TestShadowingArrays:
@@ -131,21 +119,25 @@ class TestShadowingArrays:
     # would overflow exp in a single block.
     X = np.concatenate((np.arange(2000.0), 50_000.0 + np.arange(2000.0)))
     Y, Z = np.zeros(4000), np.full(4000, 30.0)
+    EDGES = [0, 700, 2000, 2001, 3500, 4000]  # one edge at the jump
 
     def test_jump_stays_finite_and_chunks_match_one_call(self):
         whole = ShadowingField(sigma=4.0, seed=8).sample_at(self.X, self.Y, self.Z)
         assert np.all(np.isfinite(whole))
         chunked = ShadowingField(sigma=4.0, seed=8)
-        edges = [0, 700, 2000, 2001, 3500, 4000]  # one edge at the jump
         parts = [chunked.sample_at(self.X[a:b], self.Y[a:b], self.Z[a:b])
-                 for a, b in zip(edges, edges[1:])]
+                 for a, b in zip(self.EDGES, self.EDGES[1:])]
         assert np.abs(np.concatenate(parts) - whole).max() < 1e-9
 
     def test_array_call_matches_scalar_recursion(self):
+        # One call and chunked calls, against the recursion one point at a time.
+        expect = gauss_markov_shadowing(list(zip(self.X, self.Y, self.Z)), 4.0, seed=9)
         whole = ShadowingField(sigma=4.0, seed=9).sample_at(self.X, self.Y, self.Z)
-        scalar = ShadowingField(sigma=4.0, seed=9)
-        expect = [scalar.sample_at(*q) for q in zip(self.X, self.Y, self.Z)]
         assert np.abs(whole - expect).max() < 1e-9
+        chunked = ShadowingField(sigma=4.0, seed=9)
+        parts = [chunked.sample_at(self.X[a:b], self.Y[a:b], self.Z[a:b])
+                 for a, b in zip(self.EDGES, self.EDGES[1:])]
+        assert np.abs(np.concatenate(parts) - expect).max() < 1e-9
 
     def test_zero_sigma_arrays(self):
         field = ShadowingField(sigma=0.0, seed=7)
@@ -160,68 +152,74 @@ class TestNoiseFloor:
         assert noise_floor_dbm(20e6, 5.0) == pytest.approx(-95.98970004336019, abs=1e-9)
 
 
+NOISE_FLOOR = -174.0 + 90.0 + 5.0  # dBm over 1 GHz, 5 dB noise figure
+
+
+def fspl_28ghz(d):
+    return 32.4 + 20.0 * math.log10(d) + 20.0 * math.log10(28.0)
+
+
+def pass_over(points, bs_position, bs_array, uav_array, sigma=0.0, seed=0):
+    """channel_pass over 20 ms of a trace through ``points`` (t, x, y, z)."""
+    trace = FlightTrace(origin=GeoPoint(0.0, 30.0, 0.0, 30.0),
+                        points=tuple(Waypoint(*p) for p in points))
+    cfg = ScenarioConfig(trace=trace, profile=mmwave_profile(), bs_array=bs_array,
+                         uav_array=uav_array, source_rate=1e6, bs_position=bs_position,
+                         sim_window=0.02)
+    return channel_pass(cfg, ShadowingField(sigma=sigma, seed=seed))
+
+
 class TestSampleChannel:
-    def static_ue(self, position, velocity=(0.0, 0.0, 0.0)):
-        return MobilityState(position, velocity)
+    """The link budget of channel_pass, on every slot and every recorded sample."""
 
     def test_link_budget_example(self):
-        # 30 dBm + 30.10 dB gains - FSPL(100 m, 28 GHz) + 79 dBm noise floor
-        field = ShadowingField(sigma=0.0, decorrelation_distance=10.0, seed=0)
-        sample = sample_channel(
-            MMWAVE,
-            self.static_ue((0.0, 0.0, 25.0)),
-            (100.0, 0.0, 25.0),
-            tx_gain=10 * math.log10(16),
-            rx_gain=10 * math.log10(64),
-            shadowing=field,
-            t=0.0,
-        )
-        expected = 30.0 + 10 * math.log10(16) + 10 * math.log10(64) - fspl_db(100.0, 28.0) + 79.0
-        assert sample.snr == pytest.approx(expected, abs=1e-9)
-        assert sample.snr == pytest.approx(37.76, abs=0.02)
+        # Hovering 100 m above the BS: both arrays on boresight, full gains.
+        # 30 dBm + 30.10 dB gains - FSPL(100 m, 28 GHz) + 79 dBm noise floor.
+        snr, samples = pass_over([(0.0, 0.0, 0.0, 125.0), (1.0, 0.0, 0.0, 125.0)],
+                                 (0.0, 0.0, 25.0), ArrayConfig(8, 8), ArrayConfig(4, 4))
+        expected = 30.0 + 10 * math.log10(16) + 10 * math.log10(64) - fspl_28ghz(100.0) + 79.0
+        assert np.abs(snr - expected).max() < 1e-9
+        assert np.array_equal(samples.snr, snr[::40])
+        assert expected == pytest.approx(37.76, abs=0.02)
 
     def test_degenerate_budget(self):
-        # Zero gains, sub-meter distance (FSPL of the 1 m clamp), zero shadowing.
-        field = ShadowingField(sigma=0.0, decorrelation_distance=10.0, seed=0)
-        sample = sample_channel(
-            MMWAVE, self.static_ue((0.0, 0.0, 0.0)), (0.0, 0.0, 0.0), 0.0, 0.0, field, 0.0
-        )
-        assert sample.snr == pytest.approx(
-            MMWAVE.tx_power - fspl_db(1.0, 28.0) - sample.noise_floor, abs=1e-9
-        )
+        # Single-element arrays (0 dB), the UAV at the BS (FSPL of the 1 m
+        # clamp), zero shadowing.
+        snr, samples = pass_over([(0.0, 0.0, 0.0, 25.0), (1.0, 0.0, 0.0, 25.0)],
+                                 (0.0, 0.0, 25.0), ArrayConfig(1, 1), ArrayConfig(1, 1))
+        expected = 30.0 - fspl_28ghz(1.0) - NOISE_FLOOR
+        assert np.abs(snr - expected).max() < 1e-9
+        assert np.all(samples.noise_floor == pytest.approx(NOISE_FLOOR, abs=1e-9))
 
     def test_identity_holds_on_sample(self):
-        field = ShadowingField(sigma=4.0, decorrelation_distance=10.0, seed=12)
-        sample = sample_channel(
-            MMWAVE, self.static_ue((10.0, -20.0, 30.0), (3.0, 4.0, 0.0)),
-            (0.0, 0.0, 25.0), 12.0, 18.0, field, 1.5,
-        )
-        rebuilt = (
-            sample.tx_power
-            + sample.tx_gain
-            + sample.rx_gain
-            - sample.pathloss
-            - sample.shadowing
-            - sample.noise_floor
-        )
-        assert sample.snr == pytest.approx(rebuilt, abs=1e-12)
+        _, samples = pass_over([(0.0, 10.0, -20.0, 30.0), (1.0, 13.0, -16.0, 30.0)],
+                               (0.0, 0.0, 25.0), ArrayConfig(4, 4), ArrayConfig(2, 2),
+                               sigma=4.0, seed=12)
+        assert np.all(samples.shadowing != 0.0)
+        rebuilt = (samples.tx_power + samples.tx_gain + samples.rx_gain
+                   - samples.pathloss - samples.shadowing - samples.noise_floor)
+        assert np.abs(samples.snr - rebuilt).max() < 1e-12
 
-    def test_snr_invariant_under_doppler(self):
-        # Identical geometry, different radial speed: phase-only Doppler.
-        f1 = ShadowingField(sigma=4.0, decorrelation_distance=10.0, seed=13)
-        f2 = ShadowingField(sigma=4.0, decorrelation_distance=10.0, seed=13)
-        pos, bs = (50.0, 0.0, 30.0), (0.0, 0.0, 25.0)
-        still = sample_channel(MMWAVE, self.static_ue(pos), bs, 5.0, 5.0, f1, 0.0)
-        moving = sample_channel(
-            MMWAVE, self.static_ue(pos, (-10.0, 0.0, 0.0)), bs, 5.0, 5.0, f2, 0.0
-        )
-        assert still.snr == moving.snr
-        assert moving.doppler_shift != 0.0
+    def test_snr_invariant_under_doppler(self, monkeypatch):
+        # Identical positions, a different velocity: phase-only Doppler.
+        points = [(0.0, 50.0, 0.0, 30.0), (1.0, 45.0, 0.0, 30.0)]
+        args = ((0.0, 0.0, 25.0), ArrayConfig(8, 8), ArrayConfig(4, 4))
+        snr, still = pass_over(points, *args, sigma=4.0, seed=13)
+        track = TrajectorySampler.track
+
+        def faster(sampler, t):
+            pos, vel = track(sampler, t)
+            return pos, vel - [[10.0], [0.0], [0.0]]
+
+        monkeypatch.setattr(TrajectorySampler, "track", faster)
+        moving_snr, moving = pass_over(points, *args, sigma=4.0, seed=13)
+        assert np.array_equal(moving_snr, snr)
+        assert np.array_equal(moving.snr, still.snr)
+        assert np.all(moving.doppler_shift > still.doppler_shift)
 
     def test_doppler_sign_positive_when_closing(self):
-        field = ShadowingField(sigma=0.0, decorrelation_distance=10.0, seed=0)
-        toward = sample_channel(
-            MMWAVE, self.static_ue((100.0, 0.0, 25.0), (-5.0, 0.0, 0.0)),
-            (0.0, 0.0, 25.0), 0.0, 0.0, field, 0.0,
-        )
-        assert toward.doppler_shift > 0
+        # 5 m/s straight at the BS.
+        _, samples = pass_over([(0.0, 100.0, 0.0, 25.0), (10.0, 50.0, 0.0, 25.0)],
+                               (0.0, 0.0, 25.0), ArrayConfig(1, 1), ArrayConfig(1, 1))
+        assert np.all(samples.doppler_shift > 0)
+        assert samples.doppler_shift == pytest.approx(5.0 * 28e9 / 299_792_458.0, rel=1e-12)

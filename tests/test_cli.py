@@ -126,6 +126,24 @@ def test_simulate_config_unknown_key_exits_one(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_simulate_config_percent_value_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "scenario.ini"
+    cfg.write_text("[scenario]\nmission = overwatch-orbit\nrate-mbps = 5%\nwindow-s = 0.1\n")
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert "bad value '5%' for 'rate-mbps'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_simulate_config_percent_in_out_path_is_literal(tmp_path, capsys):
+    cfg = tmp_path / "scenario.ini"
+    cfg.write_text("[scenario]\nmission = overwatch-orbit\nwindow-s = 0.1\n"
+                   f"out = {tmp_path / 'run_5%_%(x)s'}\n")
+    rc = main(["simulate", "--config", str(cfg)])
+    assert rc == 0
+    assert (tmp_path / "run_5%_%(x)s" / "overwatch_orbit_snr.csv").exists()
+
+
 SYNTH_TRACE_FLAGS = ("--area-m2", "--speed-ms", "--altitude-m", "--duration-s")
 
 
@@ -263,7 +281,8 @@ cell_text = st.text(st.characters(blacklist_characters=',"\r\n'), max_size=8)
 def malformed_trace_csv(draw) -> bytes:
     header = list(TRACE_CSV_HEADER)
     rows = [list(r) for r in GOOD_ROWS[:draw(st.integers(2, len(GOOD_ROWS)))]]
-    flaw = draw(st.sampled_from(["header", "cell", "ragged", "time", "bytes", "short"]))
+    flaw = draw(st.sampled_from(["header", "cell", "ragged", "time", "subnormal", "bytes",
+                                 "short"]))
     if flaw == "header":
         i = draw(st.integers(0, 3))
         header[i] = draw(cell_text.filter(lambda t: t.strip() != header[i]))
@@ -278,6 +297,8 @@ def malformed_trace_csv(draw) -> bytes:
         r = draw(st.integers(1, len(rows) - 1))
         back = draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0)))  # 0.0: a repeated time
         rows[r][0] = repr(float(rows[r - 1][0]) - back)
+    elif flaw == "subnormal":  # after t = 0.0: a step whose velocity overflows
+        rows[1][0] = repr(draw(st.floats(5e-324, 2e-308)))
     elif flaw == "short":
         rows = rows[:draw(st.integers(0, 1))]
     data = "".join(",".join(line) + "\n" for line in [header, *rows]).encode()
@@ -301,3 +322,86 @@ def test_malformed_trace_csv_is_refused(tmp_path, capsys, data):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_simulate_refuses_non_finite_velocity(tmp_path, capsys):
+    path = tmp_path / "trace.csv"
+    path.write_text("t_s,lat_deg,lon_deg,alt_m\n0.0,30.0,0.0,30.0\n1e-320,30.001,0.0,30.0\n")
+    out = tmp_path / "out"
+    rc = main(["simulate", "--trace", str(path), "--out", str(out)])
+    assert rc == 1
+    assert "non-finite velocity in the step ending at t=1e-320" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Fuzzed INI files and flags: the simulate keys with good and hostile values,
+# unknown keys, undecodable bytes, and missing or duplicate sections. Every
+# window-s drawn is refused or at most 0.05 s, so each run stays short.
+HOSTILE = ["%", "5%", "%(x)s", "", "nan", "inf", "1e400", "not a number"]
+INI_VALUES = {
+    "trace": ["{tmp}/good.csv", "{tmp}/missing.csv"],
+    "mission": ["overwatch-orbit", "search_lawnmower", "orbit-the-moon"],
+    "profile": list(PROFILES) + ["wifi"],
+    "antennas": ["64x16", "1x1", "0x4"],
+    "rate-mbps": ["2", "0.5", "1e-320", "-1"],
+    "bs": ["on-premise", "distant-2km", "sideways"],
+    "seed": ["0", "7", "-1"],
+    "decimate-s": ["1", "0", "-1"],
+    "window-s": ["0", "0.01", "0.05"],
+}
+UNKNOWN_KEYS = ["rate-mpbs", "config", "help", "%(x)s"]
+FLAGS = [["--seed", "3"], ["--seed", "x"], ["--profile", "lte"], ["--profile", "wifi"],
+         ["--window-s", "0.02"], ["--window-s", "nan"], ["--rate-mbps", "1e400"],
+         ["--mission", "overwatch-orbit"], ["--trace", "{tmp}/missing.csv"]]
+
+
+@st.composite
+def fuzzed_config(draw) -> tuple[bytes, list[str]]:
+    values = {key: draw(st.sampled_from([None, *good])) for key, good in INI_VALUES.items()}
+    if values["trace"] is None and values["mission"] is None:
+        values["mission"] = draw(st.sampled_from(INI_VALUES["mission"]))
+    values["window-s"] = values["window-s"] or draw(st.sampled_from(INI_VALUES["window-s"]))
+    values = {key: value for key, value in values.items() if value is not None}
+    keys = list(values)
+    duplicate, section, undecodable = None, "[scenario]", False
+    for flaw in draw(st.lists(st.sampled_from(
+            ["hostile", "unknown", "duplicate", "section", "bytes"]), max_size=2)):
+        if flaw == "hostile":
+            values[draw(st.sampled_from(keys))] = draw(st.sampled_from(HOSTILE))
+        elif flaw == "unknown":
+            values[draw(st.sampled_from(UNKNOWN_KEYS))] = draw(st.sampled_from(HOSTILE + ["1"]))
+        elif flaw == "duplicate":
+            duplicate = draw(st.sampled_from(keys))
+        elif flaw == "section":
+            section = draw(st.sampled_from(["", "[other]", "[scenario]\n[scenario]"]))
+        else:
+            undecodable = True
+    lines = [section, *(f"{key} = {value}" for key, value in values.items())]
+    if duplicate:
+        lines.append(f"{duplicate} = {values[duplicate]}")
+    lines.append("out = {tmp}/" + draw(st.sampled_from(["run", "run%", "%(x)s"])))
+    data = "".join(line + "\n" for line in lines).encode()
+    if undecodable:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(UNDECODABLE)) + data[at:]
+    flags = draw(st.lists(st.sampled_from(FLAGS), max_size=2))
+    return data, [arg for flag in flags for arg in flag]
+
+
+@settings(deadline=None, derandomize=True, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=fuzzed_config())
+def test_fuzzed_config_exits_with_a_documented_code(tmp_path, capsys, drawn):
+    data, flags = drawn
+    tmp = str(tmp_path)
+    (tmp_path / "good.csv").write_text(
+        "".join(",".join(row) + "\n" for row in [TRACE_CSV_HEADER, *GOOD_ROWS]))
+    cfg = tmp_path / "scenario.ini"
+    cfg.write_bytes(data.replace(b"{tmp}", tmp.encode()))
+    try:
+        rc = main(["simulate", "--config", str(cfg), *(f.replace("{tmp}", tmp) for f in flags)])
+    except SystemExit as exc:
+        rc = exc.code
+        assert rc == 2
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from uavlink.missions import (
@@ -8,7 +9,7 @@ from uavlink.missions import (
     archetype_by_name,
     synth_trace,
 )
-from uavlink.mobility import state_at
+from uavlink.mobility import TrajectorySampler
 
 
 class TestArchetypeValidation:
@@ -62,8 +63,7 @@ class TestSynthTrace:
         # One lap takes 2 pi r / v seconds.
         period = 2 * math.pi * radius / arch.speed
         assert period == pytest.approx(125.66370614359172, abs=1e-9)
-        start = state_at(trace, 0.0).position
-        after_lap = state_at(trace, period).position
+        start, after_lap = TrajectorySampler(trace).track(np.array([0.0, period]))[0].T
         assert math.dist(start, after_lap) < 0.2  # chord interpolation slack
 
     def test_zero_duration_degenerates_to_two_points(self):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from channel_oracle import interp_positions
 from uavlink.mobility import (
     FlightTrace,
     GeoPoint,
@@ -13,7 +14,6 @@ from uavlink.mobility import (
     latlon_to_xy,
     parse_trace,
     read_trace_csv,
-    state_at,
     write_trace_csv,
 )
 
@@ -134,37 +134,37 @@ class TestDecimate:
         assert once.points == twice.points
 
 
+def sampled_state(trace, t):
+    """(position, velocity) at one time, each a tuple, from TrajectorySampler.track."""
+    pos, vel = TrajectorySampler(trace).track(np.array([t]))
+    return tuple(pos[:, 0].tolist()), tuple(vel[:, 0].tolist())
+
+
 class TestStateAt:
     segment_trace = make_trace([(0.0, 0.0, 0.0, 10.0), (10.0, 100.0, 0.0, 10.0)])
 
     def test_waypoint_hit(self):
         trace = make_trace([(0.0, 1.0, 2.0, 3.0), (4.0, 5.0, 6.0, 7.0), (6.0, 0.0, 0.0, 1.0)])
-        st = state_at(trace, 4.0)
-        assert st.position == (5.0, 6.0, 7.0)
+        position, _ = sampled_state(trace, 4.0)
+        assert position == (5.0, 6.0, 7.0)
 
     def test_linear_interpolation(self):
-        st = state_at(self.segment_trace, 5.0)
-        assert st.position == (50.0, 0.0, 10.0)
-        assert st.velocity == (10.0, 0.0, 0.0)
+        assert sampled_state(self.segment_trace, 5.0) == ((50.0, 0.0, 10.0), (10.0, 0.0, 0.0))
 
     def test_clamp_after_end(self):
-        st = state_at(self.segment_trace, 11.0)
-        assert st.position == (100.0, 0.0, 10.0)
-        assert st.velocity == (0.0, 0.0, 0.0)
+        assert sampled_state(self.segment_trace, 11.0) == ((100.0, 0.0, 10.0), (0.0, 0.0, 0.0))
 
     def test_clamp_before_start(self):
         trace = make_trace([(5.0, 1.0, 1.0, 1.0), (6.0, 2.0, 2.0, 2.0)])
-        st = state_at(trace, 0.0)
-        assert st.position == (1.0, 1.0, 1.0)
-        assert st.velocity == (0.0, 0.0, 0.0)
+        assert sampled_state(trace, 0.0) == ((1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
 
     def test_position_continuity(self):
         times = [0.0, 1.0, 2.5, 4.0, 7.0]
         trace = make_trace([(t, math.sin(t), math.cos(t), 5.0 + t) for t in times])
         eps = 1e-7
         for t in [0.0, 0.5, 1.0, 2.5, 3.999, 4.0, 6.9, 7.0, 8.0]:
-            a = state_at(trace, max(t - eps, 0.0)).position
-            b = state_at(trace, t + eps).position
+            a, _ = sampled_state(trace, max(t - eps, 0.0))
+            b, _ = sampled_state(trace, t + eps)
             for ai, bi in zip(a, b):
                 assert abs(ai - bi) < 1e-5
 
@@ -173,36 +173,40 @@ class TestStateAt:
         trace = make_trace([(t, 3 * t, -2 * t + 1, 5.0 + 0.1 * t) for t in times])
         h = 1e-6
         for t in [0.5, 2.0, 3.2, 7.0]:
-            st = state_at(trace, t)
-            pa = state_at(trace, t - h).position
-            pb = state_at(trace, t + h).position
+            _, velocity = sampled_state(trace, t)
+            pa, _ = sampled_state(trace, t - h)
+            pb, _ = sampled_state(trace, t + h)
             fd = [(b - a) / (2 * h) for a, b in zip(pa, pb)]
-            for v, f in zip(st.velocity, fd):
+            for v, f in zip(velocity, fd):
                 assert v == pytest.approx(f, abs=1e-5)
 
     def test_segment_speed_is_length_over_duration(self):
         times = [0.0, 2.0, 5.0]
         trace = make_trace([(0.0, 0.0, 0.0, 1.0), (2.0, 3.0, 4.0, 1.0), (5.0, 3.0, 4.0, 13.0)])
-        st = state_at(trace, 1.0)
+        _, velocity = sampled_state(trace, 1.0)
         seg_len = math.sqrt(3.0**2 + 4.0**2)
-        speed = math.sqrt(sum(v * v for v in st.velocity))
+        speed = math.sqrt(sum(v * v for v in velocity))
         assert speed == pytest.approx(seg_len / 2.0, abs=1e-12)
 
-    def test_sampler_matches_state_at(self):
+    def test_sampler_matches_np_interp(self):
         times = [0.5, 1.0, 2.5, 4.0, 7.0]
         trace = make_trace([(t, math.sin(t), math.cos(t), 5.0 + t) for t in times])
-        axes = list(zip(*((p.x, p.y, p.z) for p in trace.points)))
+        pts = trace.points
         sampler = TrajectorySampler(trace)
         # Before the first waypoint, on each waypoint, between them and past the last.
         queries = [0.0, 0.3, 0.5, 0.9, 1.0, 1.0, 1.7, 2.5, 3.0, 4.0, 5.5, 7.0, 8.0]
+        expect = interp_positions(trace, queries)
         rows = [sampler.segment(t) for t in reversed(queries)][::-1]  # in any order
-        for t, (t0, x0, y0, z0, vx, vy, vz, t_end) in zip(queries, rows):
+        for i, (t, (t0, x0, y0, z0, vx, vy, vz, t_end)) in enumerate(zip(queries, rows)):
             assert t < t_end
             x, y, z = x0 + vx * (t - t0), y0 + vy * (t - t0), z0 + vz * (t - t0)
-            st = state_at(trace, t)
-            assert (x, y, z) == st.position
-            assert (vx, vy, vz) == st.velocity
-            assert st.position == pytest.approx([np.interp(t, times, a) for a in axes], abs=1e-12)
+            assert (x, y, z) == pytest.approx(expect[:, i].tolist(), abs=1e-12)
+            # The velocity is the slope of the waypoint pair around t, zero outside.
+            k = sum(p.t <= t for p in pts)
+            slope = ((0.0,) * 3 if k in (0, len(pts)) else
+                     tuple((getattr(pts[k], a) - getattr(pts[k - 1], a)) / (pts[k].t - pts[k - 1].t)
+                           for a in "xyz"))
+            assert (vx, vy, vz) == pytest.approx(slope, abs=1e-12)
         # track equals the rows, over chunks queried out of order across calls.
         q = np.array(queries)
         for chunks in ([slice(0, 13)], [slice(6, 13), slice(0, 3), slice(3, 6), slice(0, 0)]):
@@ -211,6 +215,7 @@ class TestStateAt:
                 want = [(x0 + vx * (t - t0), y0 + vy * (t - t0), z0 + vz * (t - t0), vx, vy, vz)
                         for t, (t0, x0, y0, z0, vx, vy, vz, _) in zip(queries[sl], rows[sl])]
                 assert list(zip(*pos.tolist(), *vel.tolist())) == want
+                assert np.abs(pos - expect[:, sl]).max(initial=0.0) < 1e-12
 
 
 def test_trace_needs_two_points():

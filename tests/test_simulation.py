@@ -6,19 +6,19 @@ import random
 import numpy as np
 import pytest
 
+from channel_oracle import best_beam, gauss_markov_shadowing, interp_positions
 from uavlink import simulation
 from uavlink.beamforming import (
     DEFAULT_UPDATE_PERIOD,
     ArrayConfig,
     array_basis,
     beam_gain_db,
-    best_beam_pair,
     geometry_toward,
 )
 from uavlink.campaign import build_scenario
 from uavlink.channel import ShadowingField, fspl_db, noise_floor_dbm
 from uavlink.missions import MissionArchetype, synth_trace
-from uavlink.mobility import FlightTrace, GeoPoint, Waypoint, state_at
+from uavlink.mobility import FlightTrace, GeoPoint, Waypoint
 from uavlink.phy import BLER_MAX, Outcome, bler, lte_profile, mmwave_profile
 from uavlink.simulation import (
     DEFAULT_BUFFER_LIMIT,
@@ -32,9 +32,7 @@ from uavlink.simulation import (
     SNR_CSV_HEADER,
     MetricsLog,
     ScenarioConfig,
-    latency_series,
     mac_pass,
-    pdcp_throughput,
     run,
     summarize,
     write_packet_log,
@@ -202,8 +200,9 @@ class TestChannelPass:
     def test_matches_slot_by_slot_oracle(self):
         # Five chunks and a part, six waypoints (one segment lasts 10 ms) and
         # 5 ms beam epochs that straddle chunk edges, recomputed one slot at a
-        # time: interpolated position, the exhaustive-search pair at each epoch
-        # start, inner-product beam gains, FSPL and scalar shadowing.
+        # time: np.interp positions, the brute-force best pair at each epoch
+        # start, inner-product beam gains, FSPL and the per-point shadowing
+        # recursion.
         trace = FlightTrace(origin=GeoPoint(0.0, 30.0, 0.0, 30.0), points=(
             Waypoint(0.0, 0.0, 0.0, 30.0), Waypoint(0.25, 6.0, 1.0, 31.0),
             Waypoint(0.6, 6.5, 9.0, 30.0), Waypoint(0.61, 6.8, 9.1, 30.0),
@@ -217,7 +216,8 @@ class TestChannelPass:
         assert n > simulation._CHUNK_SLOTS and n % simulation._CHUNK_SLOTS
         snr, samples = simulation.channel_pass(cfg, ShadowingField(sigma=4.0, seed=21))
 
-        field = ShadowingField(sigma=4.0, seed=21)
+        positions = interp_positions(trace, np.arange(n) * slot).T
+        shadowing = gauss_markov_shadowing(positions.tolist(), 4.0, seed=21)
         bs = np.array(cfg.bs_position)
         bs_basis = array_basis(tuple(np.array(trace.centroid()) - bs))
         uav_basis = array_basis((0.0, 0.0, -1.0))
@@ -225,18 +225,17 @@ class TestChannelPass:
         nf = noise_floor_dbm(link.bandwidth, link.noise_figure)
         expect = np.empty(n)
         epoch = -1
-        for s in range(n):
+        for s, pos in enumerate(positions):
             t = s * slot
-            pos = np.array(state_at(trace, t).position)
             bs_geom = geometry_toward(bs_basis, tuple(pos - bs))
             uav_geom = geometry_toward(uav_basis, tuple(bs - pos))
             if math.floor(t / DEFAULT_UPDATE_PERIOD + 1e-9) > epoch:
                 epoch = math.floor(t / DEFAULT_UPDATE_PERIOD + 1e-9)
-                pair = best_beam_pair(cfg.bs_array, cfg.uav_array, bs_geom, uav_geom, t)
-            gains = (beam_gain_db(cfg.uav_array, pair.tx_beam, uav_geom)
-                     + beam_gain_db(cfg.bs_array, pair.rx_beam, bs_geom))
+                tx_beam, rx_beam = best_beam(cfg.uav_array, uav_geom), best_beam(cfg.bs_array, bs_geom)
+            gains = (beam_gain_db(cfg.uav_array, tx_beam, uav_geom)
+                     + beam_gain_db(cfg.bs_array, rx_beam, bs_geom))
             pl = fspl_db(float(np.linalg.norm(bs - pos)), link.carrier_freq)
-            expect[s] = link.tx_power + gains - pl - field.sample_at(*pos) - nf
+            expect[s] = link.tx_power + gains - pl - shadowing[s] - nf
         assert np.abs(snr - expect).max() < 1e-9
         record_every = round(simulation.DEFAULT_SNR_SAMPLE_INTERVAL / slot)
         assert np.array_equal(samples.snr, snr[::record_every])
@@ -347,37 +346,19 @@ def manual_log(t_gen, t_deliver, outcome, size=1000, window=4.0):
 class TestMetrics:
     def test_pdcp_throughput_counts_headers(self):
         log = run(scenario(rate=10e6, window=2.0))
-        (t0, bps), = pdcp_throughput(log, 2.0)
-        assert t0 == 0.0
         # 10 Mbps of payload carries 10 * 1528/1500 Mbps at the PDCP layer.
-        assert bps == pytest.approx(10e6 * 1528 / 1500, rel=0.01)
-
-    def test_pdcp_throughput_binning(self):
-        log = manual_log(
-            [0.0, 1.0, 2.5], [0.5, 1.4, 3.0], [DELIVERED, DELIVERED, DELIVERED], size=800
-        )
-        bins = pdcp_throughput(log, 2.0)
-        assert bins == [(0.0, 800.0), (2.0, 400.0)]
-
-    def test_latency_series_single_packet(self):
-        log = manual_log([1.0], [1.0004], [DELIVERED], window=4.0)
-        series = latency_series(log, 1.0)
-        assert series[1][1] == pytest.approx(0.4e-3, abs=1e-12)
-
-    def test_latency_series_gap_markers(self):
-        log = manual_log([1.0], [1.0004], [DELIVERED], window=4.0)
-        series = latency_series(log, 1.0)
-        assert math.isnan(series[0][1])
-        assert math.isnan(series[2][1])
-        assert math.isnan(series[3][1])
+        assert summarize(log).throughput_bps == pytest.approx(10e6 * 1528 / 1500, rel=0.01)
 
     def test_saturated_lte_latency_matches_full_buffer_delay(self):
-        # Steady-state queue delay is buffer_bits / service_rate.
+        # Steady-state queue delay is buffer_bits / service_rate, in each of
+        # the generation-time bins [2, 4) s and [4, 6) s.
         cfg = scenario(profile="lte", rate=400e6, window=8.0)
         log = run(cfg)
-        series = latency_series(log, 2.0)
+        delivered = log.outcome == DELIVERED
         expected = DEFAULT_BUFFER_LIMIT * 8 / 75.2e6
-        for t0, mean_lat in series[1:3]:
+        for t0 in (2.0, 4.0):
+            in_bin = delivered & (log.t_gen >= t0) & (log.t_gen < t0 + 2.0)
+            mean_lat = float(np.mean(log.t_deliver[in_bin] - log.t_gen[in_bin]))
             assert mean_lat == pytest.approx(expected, rel=0.10)
 
     def test_summarize_matches_hand_computation(self):
