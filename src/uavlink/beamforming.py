@@ -1,12 +1,11 @@
-"""Uniform planar arrays, DFT beam codebooks, and the periodic tracking loop
-that refreshes the best beam pair (the nearest DFT bin per axis) and holds it
-stale between updates."""
+"""Uniform planar arrays and the periodic tracking loop that refreshes the best
+DFT beam pair (the nearest DFT bin per axis) and holds it stale between
+updates."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,34 +34,12 @@ class ArrayConfig:
 
 
 @dataclass(frozen=True)
-class Geometry:
-    """LOS ray direction in an array's local frame."""
-
-    azimuth: float  # rad, (-pi, pi]
-    elevation: float  # rad, [-pi/2, pi/2]
-
-    def __post_init__(self):
-        if not -math.pi < self.azimuth <= math.pi:
-            raise ValueError(f"azimuth out of range: {self.azimuth}")
-        if not -math.pi / 2 <= self.elevation <= math.pi / 2:
-            raise ValueError(f"elevation out of range: {self.elevation}")
-
-    def cosines(self) -> tuple[float, float]:
-        """Direction cosines along the horizontal and vertical element axes."""
-        return (
-            math.sin(self.azimuth) * math.cos(self.elevation),
-            math.sin(self.elevation),
-        )
-
-
-@dataclass(frozen=True)
 class Beam:
-    """One codebook entry: flattened index, DFT grid position, unit-norm weights."""
+    """One DFT beam: flattened index k * n_v + l and its bin per axis."""
 
     index: int
     k: int  # horizontal DFT bin
     l: int  # vertical DFT bin
-    weights: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -72,38 +49,6 @@ class BeamPair:
     tx_beam: Beam
     rx_beam: Beam
     selected_at: float
-
-
-def steering_vector(array: ArrayConfig, geom: Geometry) -> np.ndarray:
-    """Unit-norm array response; element (p, q) is flattened to p * n_v + q."""
-    cy, cz = geom.cosines()
-    n = array.size
-    p = np.repeat(np.arange(array.n_h), array.n_v)
-    q = np.tile(np.arange(array.n_v), array.n_h)
-    phase = 2.0 * math.pi * array.spacing * (p * cy + q * cz)
-    return np.exp(1j * phase) / math.sqrt(n)
-
-
-@lru_cache(maxsize=None)
-def dft_codebook(array: ArrayConfig) -> tuple[Beam, ...]:
-    """All n_h*n_v orthogonal DFT beams of the array, indexed k * n_v + l."""
-    n = array.size
-    p = np.repeat(np.arange(array.n_h), array.n_v)
-    q = np.tile(np.arange(array.n_v), array.n_h)
-    beams = []
-    for k in range(array.n_h):
-        for l in range(array.n_v):
-            phase = 2.0 * math.pi * (p * k / array.n_h + q * l / array.n_v)
-            w = np.exp(1j * phase) / math.sqrt(n)
-            beams.append(Beam(index=k * array.n_v + l, k=k, l=l, weights=w))
-    return tuple(beams)
-
-
-def beam_gain_db(array: ArrayConfig, beam: Beam, geom: Geometry) -> float:
-    """Beamforming gain 10*log10(N |<w, v>|^2) of a beam toward a direction."""
-    ip = np.vdot(beam.weights, steering_vector(array, geom))
-    g = array.size * (abs(ip) ** 2)
-    return 10.0 * math.log10(max(g, GAIN_FLOOR_LINEAR))
 
 
 class BeamTracker:
@@ -150,8 +95,8 @@ class BeamTracker:
         if which[-1]:
             self._epoch = int(epoch[-1])
             self._bins = k, l, rk, rl = tuple(int(nb[-1]) for nb in new_bins)
-            self.pair = BeamPair(tx_beam=dft_codebook(uav)[k * uav.n_v + l],
-                                 rx_beam=dft_codebook(bs)[rk * bs.n_v + rl],
+            self.pair = BeamPair(tx_beam=Beam(index=k * uav.n_v + l, k=k, l=l),
+                                 rx_beam=Beam(index=rk * bs.n_v + rl, k=rk, l=rl),
                                  selected_at=self._epoch * DEFAULT_UPDATE_PERIOD)
         return (d[0] * d[1]) ** 2 / uav.size, (d[2] * d[3]) ** 2 / bs.size
 
@@ -211,22 +156,3 @@ def array_basis(
         ez[0] * ex[1] - ez[1] * ex[0],
     )
     return ex, ey, ez
-
-
-def geometry_toward(
-    basis: tuple[tuple[float, float, float], ...],
-    direction: tuple[float, float, float],
-) -> Geometry:
-    """Express a global LOS direction as azimuth/elevation in an array frame."""
-    dx, dy, dz = direction
-    norm = math.sqrt(dx * dx + dy * dy + dz * dz)
-    if norm == 0:
-        raise ValueError("direction must be non-zero")
-    ex, ey, ez = basis
-    ux = (dx * ex[0] + dy * ex[1] + dz * ex[2]) / norm
-    uy = (dx * ey[0] + dy * ey[1] + dz * ey[2]) / norm
-    uz = (dx * ez[0] + dy * ez[1] + dz * ez[2]) / norm
-    az = math.atan2(uy, ux)
-    if az <= -math.pi:
-        az = math.pi
-    return Geometry(azimuth=az, elevation=math.asin(max(-1.0, min(1.0, uz))))

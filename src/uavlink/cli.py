@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from pathlib import Path
 
@@ -61,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--window-s", type=float, default=60.0)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--decimate-s", type=float, default=DEFAULT_DECIMATE_S,
-                     help="minimum waypoint spacing applied to input traces")
+                     help="minimum waypoint spacing in s applied to input traces; "
+                          "0 keeps every waypoint")
     sim.add_argument("--config", help="INI file with a [scenario] section of flag defaults")
     sim.add_argument("--out", help="output directory (may come from --config)")
 
@@ -133,6 +135,8 @@ def cmd_simulate(args) -> int:
     if not args.out:
         print("simulate needs --out (flag or config file)", file=sys.stderr)
         return 1
+    if not 0 <= args.decimate_s < math.inf:
+        raise ValueError(f"decimate_s must be non-negative and finite, got {args.decimate_s}")
     if args.trace:
         trace = read_trace_csv(args.trace)
         if args.decimate_s > 0:

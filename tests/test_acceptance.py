@@ -11,15 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from channel_oracle import best_gain_db
+from channel_oracle import Geometry, best_gain_db, dft_codebook, steering_vector
 from uavlink.beamforming import (
     GAIN_FLOOR_LINEAR,
     ArrayConfig,
     BeamTracker,
-    Geometry,
-    dft_codebook,
     parse_antenna_combo,
-    steering_vector,
 )
 from uavlink.campaign import build_scenario
 from uavlink.channel import ShadowingField, doppler_shift, fspl_db

@@ -4,19 +4,23 @@ import random
 import numpy as np
 import pytest
 
-from channel_oracle import best_beam, best_gain_db
+from channel_oracle import (
+    Geometry,
+    beam_gain_db,
+    best_beam,
+    best_gain_db,
+    dft_codebook,
+    geometry_toward,
+    key,
+    steering_vector,
+)
 from uavlink.beamforming import (
     DEFAULT_UPDATE_PERIOD,
     GAIN_FLOOR_LINEAR,
     ArrayConfig,
     BeamTracker,
-    Geometry,
     array_basis,
-    beam_gain_db,
-    dft_codebook,
-    geometry_toward,
     parse_antenna_combo,
-    steering_vector,
 )
 
 BORESIGHT = Geometry(azimuth=0.0, elevation=0.0)
@@ -33,11 +37,11 @@ def gains_db(tracker, t, bs_geom, uav_geom):
     return tuple(10 * math.log10(max(g[0], GAIN_FLOOR_LINEAR)) for g in (tx, rx))
 
 
-def refreshed_pair(bs, uav, bs_geom, uav_geom):
-    """The pair a new tracker selects at its first query."""
+def refreshed_pair_and_gains(bs, uav, bs_geom, uav_geom):
+    """The pair a new tracker selects at its first query, and its (tx, rx) gains in dB."""
     tracker = BeamTracker(bs, uav)
-    gains_db(tracker, 0.0, bs_geom, uav_geom)
-    return tracker.pair
+    gains = gains_db(tracker, 0.0, bs_geom, uav_geom)
+    return tracker.pair, gains
 
 
 def random_geometry(rng) -> Geometry:
@@ -138,53 +142,46 @@ class TestBeamGain:
                 pair = tracker.pair
                 for fast, beam, geom in ((tx[0], pair.tx_beam, uav_geom),
                                          (rx[0], pair.rx_beam, bs_geom)):
-                    direct = arr.size * abs(np.vdot(beam.weights, steering_vector(arr, geom))) ** 2
+                    w = dft_codebook(arr)[beam.index].weights
+                    direct = arr.size * abs(np.vdot(w, steering_vector(arr, geom))) ** 2
                     assert fast == pytest.approx(direct, abs=1e-9)
 
 
 class TestBestBeamPair:
     def test_grid_point_combined_gain(self):
         bs, uav = parse_antenna_combo("64x16")
-        pair = refreshed_pair(bs, uav, BORESIGHT, BORESIGHT)
-        total = beam_gain_db(uav, pair.tx_beam, BORESIGHT) + beam_gain_db(
-            bs, pair.rx_beam, BORESIGHT
-        )
-        assert total == pytest.approx(30.10299956639812, abs=1e-9)
+        pair, gains = refreshed_pair_and_gains(bs, uav, BORESIGHT, BORESIGHT)
+        assert key(pair.tx_beam) == key(best_beam(uav, BORESIGHT)) == (0, 0, 0)
+        assert key(pair.rx_beam) == key(best_beam(bs, BORESIGHT)) == (0, 0, 0)
+        assert sum(gains) == pytest.approx(30.10299956639812, abs=1e-9)
 
     def test_combined_gain_gap_between_combos(self):
         bs64, uav16 = parse_antenna_combo("64x16")
         bs16, uav4 = parse_antenna_combo("16x4")
-        big = refreshed_pair(bs64, uav16, BORESIGHT, BORESIGHT)
-        small = refreshed_pair(bs16, uav4, BORESIGHT, BORESIGHT)
-        g_big = beam_gain_db(uav16, big.tx_beam, BORESIGHT) + beam_gain_db(
-            bs64, big.rx_beam, BORESIGHT
-        )
-        g_small = beam_gain_db(uav4, small.tx_beam, BORESIGHT) + beam_gain_db(
-            bs16, small.rx_beam, BORESIGHT
-        )
-        assert g_small == pytest.approx(18.06179973983887, abs=1e-9)
-        assert g_big - g_small == pytest.approx(12.041199826559248, abs=1e-9)
+        _, big = refreshed_pair_and_gains(bs64, uav16, BORESIGHT, BORESIGHT)
+        _, small = refreshed_pair_and_gains(bs16, uav4, BORESIGHT, BORESIGHT)
+        assert sum(small) == pytest.approx(18.06179973983887, abs=1e-9)
+        assert sum(big) - sum(small) == pytest.approx(12.041199826559248, abs=1e-9)
 
     def test_single_beam_arrays(self):
         one = ArrayConfig(1, 1)
-        pair = refreshed_pair(one, one, BORESIGHT, BORESIGHT)
-        total = beam_gain_db(one, pair.tx_beam, BORESIGHT) + beam_gain_db(
-            one, pair.rx_beam, BORESIGHT
-        )
-        assert total == pytest.approx(0.0, abs=1e-12)
+        pair, gains = refreshed_pair_and_gains(one, one, BORESIGHT, BORESIGHT)
+        assert key(pair.tx_beam) == key(pair.rx_beam) == key(best_beam(one, BORESIGHT))
+        assert sum(gains) == pytest.approx(0.0, abs=1e-12)
 
     def test_deterministic(self):
         rng = random.Random(5)
         bs, uav = parse_antenna_combo("16x4")
         for _ in range(25):
             bg, ug = random_geometry(rng), random_geometry(rng)
-            p1 = refreshed_pair(bs, uav, bg, ug)
-            p2 = refreshed_pair(bs, uav, bg, ug)
+            p1, _ = refreshed_pair_and_gains(bs, uav, bg, ug)
+            p2, _ = refreshed_pair_and_gains(bs, uav, bg, ug)
             assert (p1.tx_beam.index, p1.rx_beam.index) == (p2.tx_beam.index, p2.rx_beam.index)
 
     def test_beats_every_other_pair(self):
-        # Brute force over every tx/rx pair pins the tracker's nearest-bin
-        # refresh, also for odd arrays and spacings other than half a wavelength.
+        # The oracle's argmax over every codebook beam pins the tracker's
+        # nearest-bin refresh, also for odd arrays and spacings other than
+        # half a wavelength.
         rng = random.Random(6)
         combos = (
             (ArrayConfig(2, 2), ArrayConfig(2, 1)),
@@ -195,13 +192,11 @@ class TestBestBeamPair:
         for bs, uav in combos:
             for _ in range(10):
                 bg, ug = random_geometry(rng), random_geometry(rng)
-                pair = refreshed_pair(bs, uav, bg, ug)
-                best = beam_gain_db(uav, pair.tx_beam, ug) + beam_gain_db(bs, pair.rx_beam, bg)
-                rx_gains = [beam_gain_db(bs, rb, bg) for rb in dft_codebook(bs)]
-                for tb in dft_codebook(uav):
-                    tx_gain = beam_gain_db(uav, tb, ug)
-                    for rx_gain in rx_gains:
-                        assert tx_gain + rx_gain <= best + 1e-9
+                pair, (tx_db, rx_db) = refreshed_pair_and_gains(bs, uav, bg, ug)
+                assert key(pair.tx_beam) == key(best_beam(uav, ug))
+                assert key(pair.rx_beam) == key(best_beam(bs, bg))
+                assert tx_db == pytest.approx(best_gain_db(uav, ug), abs=1e-9)
+                assert rx_db == pytest.approx(best_gain_db(bs, bg), abs=1e-9)
 
     def test_half_bin_tie_rounds_half_to_even(self):
         # n * spacing * cos = +-0.5 and +-1.5 on a 4x1 array: two beams tie and
@@ -222,14 +217,20 @@ class TestBestBeamPair:
 
 class TestTracker:
     def test_refresh_matches_best_pair(self):
-        bs, uav = parse_antenna_combo("64x16")
-        tracker = BeamTracker(bs, uav)
-        geom = Geometry(azimuth=0.3, elevation=-0.2)
-        tx_db, rx_db = gains_db(tracker, 0.0, geom, BORESIGHT)
-        assert tracker.pair.tx_beam == best_beam(uav, BORESIGHT)
-        assert tracker.pair.rx_beam == best_beam(bs, geom)
-        assert tx_db == pytest.approx(best_gain_db(uav, BORESIGHT), abs=1e-9)
-        assert rx_db == pytest.approx(best_gain_db(bs, geom), abs=1e-9)
+        # One tracker over successive epochs, each at a new geometry: every
+        # refresh lands on the oracle's brute-force argmax per side.
+        rng = random.Random(9)
+        for bs, uav in (parse_antenna_combo("64x16"),
+                        (ArrayConfig(3, 3, 0.7), ArrayConfig(5, 1, 0.3)),
+                        (ArrayConfig(5, 1, 0.3), ArrayConfig(3, 3, 0.7))):
+            tracker = BeamTracker(bs, uav)
+            for epoch in range(12):
+                bs_geom, uav_geom = random_geometry(rng), random_geometry(rng)
+                tx_db, rx_db = gains_db(tracker, epoch * DEFAULT_UPDATE_PERIOD, bs_geom, uav_geom)
+                assert key(tracker.pair.tx_beam) == key(best_beam(uav, uav_geom))
+                assert key(tracker.pair.rx_beam) == key(best_beam(bs, bs_geom))
+                assert tx_db == pytest.approx(best_gain_db(uav, uav_geom), abs=1e-9)
+                assert rx_db == pytest.approx(best_gain_db(bs, bs_geom), abs=1e-9)
 
     def test_static_geometry_constant_between_updates(self):
         bs, uav = parse_antenna_combo("16x4")

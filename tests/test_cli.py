@@ -149,6 +149,7 @@ SYNTH_TRACE_FLAGS = ("--area-m2", "--speed-ms", "--altitude-m", "--duration-s")
 
 @pytest.mark.parametrize("flag, value", [
     ("--window-s", "inf"), ("--window-s", "nan"), ("--rate-mbps", "inf"), ("--rate-mbps", "nan"),
+    ("--decimate-s", "inf"), ("--decimate-s", "nan"),
     *((flag, value) for flag in SYNTH_TRACE_FLAGS for value in ("inf", "nan")),
 ])
 def test_non_finite_numbers_exit_one(tmp_path, capsys, flag, value):
@@ -157,9 +158,22 @@ def test_non_finite_numbers_exit_one(tmp_path, capsys, flag, value):
     assert rc == 1
     err = capsys.readouterr().err
     assert "must be" in err
-    if command == "synth-trace":  # the message names the field
+    assert not list(tmp_path.iterdir())
+    if command == "synth-trace" or flag == "--decimate-s":  # the message names the field
         assert flag.split("-")[2] in err
-        assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("source", ["--mission", "--trace"])
+def test_negative_decimate_exits_one(tmp_path, capsys, source):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("".join(",".join(row) + "\n" for row in [TRACE_CSV_HEADER, *GOOD_ROWS]))
+    value = "overwatch-orbit" if source == "--mission" else str(trace)
+    out = tmp_path / "out"
+    rc = main(["simulate", source, value, "--decimate-s", "-3", "--window-s", "0.1",
+               "--out", str(out)])
+    assert rc == 1
+    assert "decimate_s must be non-negative and finite, got -3.0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("content, message", [
@@ -208,6 +222,30 @@ def test_simulate_larger_than_memory_exits_one(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def run_cli_in_1gib(*args: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a child whose address space is capped at 1 GiB, so an
+    allocation that slipped past a check ends in a MemoryError, not in an
+    exhausted host."""
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "uavlink.cli", *args], capture_output=True,
+                          text=True, env=env, preexec_fn=cap_address_space, timeout=120)
+
+
+def test_simulate_large_array_runs_in_bounded_memory(tmp_path):
+    # A 128x128 BS array: its beams are held as DFT bins, so the tracker's
+    # memory does not grow with the square of the element count; an n x n
+    # codebook would not fit in 1 GiB.
+    out = tmp_path / "out"
+    done = run_cli_in_1gib("simulate", "--mission", "overwatch-orbit", "--antennas", "16384x16",
+                           "--window-s", "0.01", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    assert (out / "overwatch_orbit_snr.csv").exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_matrix_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
     with pytest.raises(SystemExit) as exc:
@@ -238,18 +276,9 @@ def test_matrix_refuses_cells_sharing_a_name(tmp_path, capsys, rates):
 
 
 def test_synth_trace_larger_than_memory_exits_one(tmp_path):
-    # 1e12 waypoints. The child's address space is capped at 1 GiB, so a check
-    # that let them be allocated would end in a MemoryError, not exhaust the host.
-    def cap_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
+    # 1e12 waypoints, refused before any is allocated.
     out = tmp_path / "out"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="1")
-    done = subprocess.run(
-        [sys.executable, "-m", "uavlink.cli", "synth-trace", "--duration-s", "1e12",
-         "--out", str(out)],
-        capture_output=True, text=True, env=env, preexec_fn=cap_address_space, timeout=120,
-    )
+    done = run_cli_in_1gib("synth-trace", "--duration-s", "1e12", "--out", str(out))
     assert done.returncode == 1
     assert "mission duration 1000000000000.0 s" in done.stderr
     assert "physical memory" in done.stderr

@@ -6,15 +6,15 @@ import random
 import numpy as np
 import pytest
 
-from channel_oracle import best_beam, gauss_markov_shadowing, interp_positions
-from uavlink import simulation
-from uavlink.beamforming import (
-    DEFAULT_UPDATE_PERIOD,
-    ArrayConfig,
-    array_basis,
+from channel_oracle import (
     beam_gain_db,
+    best_beam,
+    gauss_markov_shadowing,
     geometry_toward,
+    interp_positions,
 )
+from uavlink import simulation
+from uavlink.beamforming import DEFAULT_UPDATE_PERIOD, ArrayConfig, array_basis
 from uavlink.campaign import build_scenario
 from uavlink.channel import ShadowingField, fspl_db, noise_floor_dbm
 from uavlink.missions import MissionArchetype, synth_trace
