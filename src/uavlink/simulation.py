@@ -7,9 +7,9 @@ from __future__ import annotations
 import math
 import os
 import random
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -49,6 +49,7 @@ SAMPLE_DTYPE = np.dtype([(name, np.float64) for name in (
 
 _T_EPS = 1e-9
 _CHUNK_SLOTS = 2048  # channel-stage chunk; its temporaries add to peak RSS (4096: +2.8 %)
+_MIN_SCAN_SLOTS = 8  # a shorter MAC scan doubles the slot-by-slot run before the next one
 _WRITE_ROWS = 8192  # CSV rows per write (65536: +15 MB peak RSS, 120 s 10 Mb/s run)
 
 
@@ -229,6 +230,22 @@ def channel_pass(config: ScenarioConfig, shadow: ShadowingField) -> tuple[np.nda
     return snr_arr, samples.view(np.recarray)
 
 
+def packets_generated(slots: np.ndarray, slot: float, interarrival: float,
+                      max_pk: int) -> np.ndarray:
+    """Packets generated by the start of each slot ``s``, at most ``max_pk``: the
+    closed form ``floor((s * slot + 1e-9) / interarrival) + 1`` settled by the
+    exact test of packet ``n``, ``n * interarrival <= s * slot + 1e-9``."""
+    lim = slots * slot + _T_EPS
+    n = np.clip(np.floor(lim / interarrival) + 1, 0, max_pk).astype(np.int64)
+    while True:
+        more = (n < max_pk) & (n * interarrival <= lim)
+        fewer = (n > 0) & ((n - 1) * interarrival > lim)
+        if not (more.any() or fewer.any()):
+            return n
+        n += more
+        n -= fewer
+
+
 def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.ndarray, ...]:
     """(t_gen, t_deliver, outcome) of the packets sent over ``snr``, one per slot.
 
@@ -236,10 +253,19 @@ def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.n
     an MCS, fill a transport block FIFO from the queue (byte-granular, a packet
     may span slots) and resolve HARQ. A failed block stalls the link until its
     retransmission slot; outage slots defer everything.
+
+    With no block pending, the slots up to the next event, at most a chunk, are
+    one integer prefix scan: the bits sent by the end of slot ``s``, ``D[s] =
+    min(A[s], D[s-1] + c[s])``, are ``C[s] + min(0, min(A[:s+1] - C[:s+1]))``
+    for the cumulative capacity ``C`` and bits admitted ``wait`` slots earlier
+    ``A``. A slot whose ``D`` grows sends a block; a packet completes in the
+    first slot whose ``D`` reaches its end. An event (a failed first attempt,
+    arrivals that overflow the buffer, a queue with gaps from drops) goes to the
+    slot-by-slot code until no block is pending.
     """
     prof = config.profile
     slot = prof.slot_duration
-    snr_at = np.asarray(snr, dtype=np.float64).item
+    snr = np.asarray(snr, dtype=np.float64)
     n_slots = len(snr)
     pkt_bits = _packet_bits(config)
     interarrival = config.payload * 8 / config.source_rate
@@ -247,41 +273,81 @@ def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.n
     wait = round(prof.scheduling_delay / slot)  # a whole number of slots (RatProfile)
 
     table = prof.mcs_table
-    thresholds = [e.snr_threshold for e in table]
+    thresholds = np.array([e.snr_threshold for e in table])
     tb_caps = [phy.tb_bits(prof, e) // 8 * 8 for e in table]  # byte-aligned bits
+    caps = np.array(tb_caps + [0])  # caps[-1]: no grant in outage
 
     _, max_pk = _array_sizes(config)
     t_del_arr = np.full(max_pk, np.nan)
     outcome_arr = np.zeros(max_pk, dtype=np.int8)
 
-    def generated(s: int, n: int) -> int:
-        """Packets generated by slot ``s`` (n * interarrival <= s * slot + eps), given ``n`` are."""
-        lim = s * slot + _T_EPS
-        if n < max_pk and n * interarrival <= lim:  # more than n: the closed form, then settle
-            n = min(int(lim / interarrival) + 1, max_pk)
-            while n < max_pk and n * interarrival <= lim:
-                n += 1
-            while (n - 1) * interarrival > lim:
-                n -= 1
-        return n
-
+    draws, di = [], 0  # HARQ uniforms drawn ahead, used in attempt order from draws[di]
     queue: deque[list] = deque()  # [first, end) ranges of admitted packet indices
     head_sent = 0  # bits of packet queue[0][0] already placed in a block
     queued_bits = 0
     n_gen = 0
-    next_gen = 0.0
     pending: TransportBlock | None = None
     pending_next = 0
-    rng_draw = harq_rng.random
+    c0 = c1 = 0  # the chunk [c0, c1) of slots whose per-slot arrays are at hand
+    next_scan, backoff, span = 0, 0, _CHUNK_SLOTS
 
     nxt = 0
     while nxt < n_slots:
+        if nxt >= c1:
+            c0, c1 = nxt, min(nxt + _CHUNK_SLOTS, n_slots)
+            mcs_c = thresholds.searchsorted(snr[c0:c1], side="right") - 1
+            cap_c = np.cumsum(caps[mcs_c])
+            # Packets a block may take in each slot; gen_c[wait:] have arrived by it.
+            gen_c = packets_generated(np.arange(c0 - wait, c1), slot, interarrival, max_pk)
+            bits_c = gen_c * pkt_bits
+            t_end_c = np.arange(c0, c1) * slot + slot  # the delivery time of each slot
+            mcs_l, gen_l, snr_l = mcs_c.tolist(), gen_c.tolist(), snr[c0:c1].tolist()
+            # A slot makes at most one attempt: top the uniforms drawn ahead up to a chunk.
+            draws = draws[di:] + [harq_rng.random() for _ in range(c1 - c0 + di - len(draws))]
+            di = 0
+
+        if pending is None and nxt >= next_scan:
+            i, head = nxt - c0, queue[0][0] if queue else n_gen
+            w = min(c1 - c0, i + span)  # it looks at slots [nxt, c0 + w); short scans, short arrays
+            stop = 0  # and resolves slots [nxt, nxt + stop)
+            if all(a[1] == b[0] for a, b in pairwise([*queue, [n_gen]])):  # no gap from drops
+                base = head * pkt_bits + head_sent
+                sent = np.minimum.accumulate(np.maximum(bits_c[i:w] - base, 0) - cap_c[i:w])
+                sent = cap_c[i:w] + np.minimum(sent, -cap_c[i - 1] if i else 0)
+                before = np.concatenate(([0], sent[:-1]))
+                overflow = bits_c[wait + i:wait + w] - before > base + buffer_bits
+                stop = int(overflow.argmax()) if overflow.any() else w - i
+                blocks = ((sent[:stop] > before[:stop]).nonzero()[0] + i).tolist()
+                for j, u in zip(blocks, draws[di:di + len(blocks)]):  # first attempts, in order
+                    if u < phy.bler(table[mcs_l[j]], snr_l[j]):
+                        stop = j - i
+                        break
+                    di += 1
+            if stop:
+                done, rest = divmod(int(sent[stop - 1]) + head_sent, pkt_bits)
+                # Packet head + k completes in the first slot with (k + 1) * pkt_bits sent.
+                ends = np.arange(pkt_bits - head_sent, done * pkt_bits - head_sent + 1, pkt_bits)
+                t_del_arr[head:head + done] = t_end_c[i:i + stop][sent.searchsorted(ends)]
+                outcome_arr[head:head + done] = DELIVERED
+                n_gen = gen_l[wait + i + stop - 1]
+                head, head_sent = head + done, rest
+                queue = deque([[head, n_gen]] if head < n_gen else [])
+                queued_bits = (n_gen - head) * pkt_bits - head_sent
+            nxt += stop
+            if stop < w - i:  # an event at slot nxt
+                backoff = 0 if stop >= _MIN_SCAN_SLOTS else min(2 * backoff or _MIN_SCAN_SLOTS,
+                                                                 _CHUNK_SLOTS)
+                next_scan, span = nxt + 1 + backoff, max(2 * stop, 8 * _MIN_SCAN_SLOTS)
+            else:
+                span *= 2
+            continue
+
         s, nxt = nxt, nxt + 1
-        t = s * slot
+        j = s - c0
 
         # CBR arrivals up to the slot start; tail drops.
-        if next_gen <= t + _T_EPS and n_gen < max_pk:
-            n = generated(s, n_gen + 1)  # packet n_gen has arrived
+        n = gen_l[wait + j]
+        if n > n_gen:
             admit = n_gen + (buffer_bits - queued_bits) // pkt_bits
             if admit < n:
                 outcome_arr[admit:n] = DROPPED_BUFFER
@@ -290,23 +356,15 @@ def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.n
             if admit > n_gen:
                 queue.append([n_gen, admit])
                 queued_bits += (admit - n_gen) * pkt_bits
-            n_gen, next_gen = n, n * interarrival
+            n_gen = n
 
-        if pending is None and not queue:  # idle: jump to the slot of the next arrival
-            if n_gen >= max_pk:
-                break
-            nxt = max(nxt, math.ceil((next_gen - _T_EPS) / slot) - 1)
-            while next_gen > nxt * slot + _T_EPS:
-                nxt += 1
-            continue
-        snr_s = snr_at(s)
-        mcs_i = bisect_right(thresholds, snr_s) - 1
+        mcs_i = mcs_l[j]
         if mcs_i < 0:
             continue  # outage: no grant, retransmissions wait too
 
         # Start a new block only when the link is idle, with the packets of ``wait`` slots ago.
         if pending is None:
-            ready = generated(s - wait, 0) if wait else n_gen
+            ready = gen_l[j]
             cap = room = tb_caps[mcs_i]
             pending_done = []  # [first, end) ranges of the packets the block completes
             while room and queue:  # every size is a multiple of 8 bits
@@ -329,13 +387,14 @@ def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.n
                 pending_next = s
 
         if pending is not None and s >= pending_next:
-            p_err = phy.bler(table[pending.mcs], snr_s)
-            result, when = harq_step(pending, p_err, rng_draw(), harq_rtt=prof.harq_rtt,
+            p_err = phy.bler(table[pending.mcs], snr_l[j])
+            result, when = harq_step(pending, p_err, draws[di], harq_rtt=prof.harq_rtt,
                                      max_harq_tx=prof.max_harq_tx, current_slot=s)
+            di += 1
             if result is Outcome.DELIVERED:
                 for a, b in pending_done:
                     at = a if b - a == 1 else slice(a, b)  # an item sets faster than a slice
-                    t_del_arr[at] = t + slot
+                    t_del_arr[at] = t_end_c[j]
                     outcome_arr[at] = DELIVERED
             elif result is Outcome.DROPPED:
                 if head_sent:  # the block ends in part of the head packet: drop all of it
@@ -370,10 +429,14 @@ def summarize(log: MetricsLog) -> Summary:
     window = log.config.sim_window
     throughput = float(delivered * log.packet_bits) / window if window > 0 else 0.0
     if delivered:
-        lat = log.t_deliver[delivered_mask] - log.t_gen[delivered_mask]
-        mean_lat = float(lat.mean())
-        median_lat = float(np.median(lat))
-        p99_lat = float(np.percentile(lat, 99))
+        lat, at = log.t_deliver[delivered_mask], 0  # the one latency-sized array
+        for r0 in range(0, n, _WRITE_ROWS):  # less t_gen, a chunk at a time
+            t_gen = log.t_gen[r0:r0 + _WRITE_ROWS][delivered_mask[r0:r0 + _WRITE_ROWS]]
+            lat[at:at + len(t_gen)] -= t_gen
+            at += len(t_gen)
+        mean_lat = float(lat.mean())  # before the order statistics reorder lat
+        median_lat = float(np.median(lat, overwrite_input=True))
+        p99_lat = float(np.percentile(lat, 99, overwrite_input=True))
     else:
         mean_lat = median_lat = p99_lat = 0.0
     return Summary(

@@ -12,15 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mac_oracle import mac_pass as oracle_mac_pass
+from uavlink import simulation
 from uavlink.campaign import build_scenario
 from uavlink.missions import MissionArchetype, synth_trace
-from uavlink.phy import BLER_MAX, bler, lte_profile, mmwave_profile, tb_bits
+from uavlink.phy import BLER_MAX, Outcome, bler, lte_profile, mmwave_profile, tb_bits
 from uavlink.simulation import (
+    _CHUNK_SLOTS,
     DELIVERED,
     DROPPED_BUFFER,
     DROPPED_HARQ,
     IN_FLIGHT,
     mac_pass,
+    packets_generated,
 )
 
 TRACE = synth_trace(MissionArchetype("overwatch_orbit", duration=120.0), seed=1)
@@ -93,7 +96,7 @@ class TestAgainstOracle:
 
     @settings(CI_SETTINGS, max_examples=150)
     @given(profile=st.sampled_from(["mmwave", "lte"]),
-           n_slots=st.integers(1, 1200),
+           n_slots=st.integers(1, 2 * _CHUNK_SLOTS + 500),
            rate=st.floats(1e6, 1.5e9),
            payload=st.integers(20, 9000),
            centre=st.integers(0, len(THRESHOLDS) - 1),
@@ -127,6 +130,117 @@ class TestAgainstOracle:
                                    scheduling_delay=wait * slot)
         snr = around_thresholds(n_slots, snr_seed, centre, spread, outage_frac)
         assert_matches_oracle(random_config("lte", n_slots, rate, payload, prof), snr, harq_seed)
+
+
+TOP, BOTTOM = THRESHOLDS[-1], THRESHOLDS[0]
+CLEAR = TOP + 40.0  # BLER_MIN at the top MCS
+
+
+def failing_first_draw_seed():
+    """A HARQ seed whose first uniform fails a top-MCS block sent on its threshold."""
+    p_err = bler(mmwave_profile().mcs_table[-1], TOP)
+    return next(seed for seed in range(1000) if random.Random(seed).random() < p_err)
+
+
+def one_failure_across_the_border():
+    # Outage up to the last slot of the first chunk, where a top-MCS block
+    # (not a whole number of packets) fails; its retransmissions 4 and 8 slots
+    # later, in the next chunk, see an SNR with BLER_MAX, so the block and its
+    # part-sent head packet are dropped.
+    snr = np.full(3 * _CHUNK_SLOTS, CLEAR)
+    snr[:_CHUNK_SLOTS] = OUTAGE
+    snr[_CHUNK_SLOTS - 1] = TOP
+    snr[_CHUNK_SLOTS + 3] = snr[_CHUNK_SLOTS + 7] = BOTTOM + 0.1
+    return snr
+
+
+def overflow_mid_scan():
+    snr = np.full(3 * _CHUNK_SLOTS, CLEAR)
+    snr[1000:1200] = OUTAGE  # 200 slots of 1 Gb/s overflow the buffer from about slot 1070
+    return snr
+
+
+def outage_longer_than_a_chunk():
+    snr = np.full(4 * _CHUNK_SLOTS, CLEAR)
+    snr[100:100 + _CHUNK_SLOTS + 500] = OUTAGE
+    return snr
+
+
+def lte_wait_over_the_border():
+    snr = np.full(2 * _CHUNK_SLOTS + 300, CLEAR)
+    snr[_CHUNK_SLOTS - 3:_CHUNK_SLOTS + 2] = OUTAGE  # blocks resume just past the border
+    return snr
+
+
+def parked_on_a_threshold():
+    # The highest BLER a first attempt can see (~0.1: the MCS is picked from
+    # the same SNR), in every slot, so a draw taken out of order moves outcomes.
+    return np.full(3 * _CHUNK_SLOTS, THRESHOLDS[20])
+
+
+BORDER_CASES = {
+    "harq-failure-in-last-chunk-slot": ("mmwave", 10e6, one_failure_across_the_border,
+                                        failing_first_draw_seed()),
+    "overflow-mid-scan": ("mmwave", 1000e6, overflow_mid_scan, 4),
+    "outage-longer-than-a-chunk": ("mmwave", 10e6, outage_longer_than_a_chunk, 4),
+    "lte-wait-over-the-border": ("lte", 12e6, lte_wait_over_the_border, 4),
+    "parked-on-a-threshold-10mbps": ("mmwave", 10e6, parked_on_a_threshold, 8),
+    "parked-on-a-threshold-96mbps": ("mmwave", 96e6, parked_on_a_threshold, 8),
+}
+
+
+class TestChunkAndScanBorders:
+    """Events where a scan, a chunk of per-slot arrays or a scan window ends."""
+
+    @pytest.mark.parametrize("case", BORDER_CASES)
+    def test_against_oracle(self, case, monkeypatch):
+        profile, rate, make_snr, seed = BORDER_CASES[case]
+        snr = make_snr()
+        attempts = []
+        harq_step = simulation.harq_step
+
+        def recording_harq_step(tb, *args, current_slot, **kwargs):
+            result = harq_step(tb, *args, current_slot=current_slot, **kwargs)
+            attempts.append((current_slot, tb.tx_count, result[0]))
+            return result
+
+        monkeypatch.setattr(simulation, "harq_step", recording_harq_step)
+        _, _, outcome = assert_matches_oracle(config(profile, len(snr), rate), snr, seed)
+        failed = [(slot, n) for slot, n, result in attempts if result is not Outcome.DELIVERED]
+        if case == "harq-failure-in-last-chunk-slot":
+            assert failed == [(_CHUNK_SLOTS - 1, 1), (_CHUNK_SLOTS + 3, 2), (_CHUNK_SLOTS + 7, 3)]
+            assert (outcome == DROPPED_HARQ).sum() == 33  # 32 whole packets and the part-sent one
+        elif case == "overflow-mid-scan":
+            assert (outcome == DROPPED_BUFFER).any()
+        elif case.startswith("parked"):
+            assert len(failed) > 20
+        assert (outcome == DELIVERED).sum() > 100
+
+
+class TestArrivalCount:
+    @settings(CI_SETTINGS, max_examples=200)
+    @given(slot=st.sampled_from([125e-6, 1e-3]),
+           rate=st.one_of(st.floats(1e5, 1.5e9), st.sampled_from([12e6, 96e6, 8e6, 1.2e6])),
+           payload=st.integers(20, 9000),
+           s0=st.integers(-8, 100_000),
+           n_slots=st.integers(1, 200),
+           cap=st.one_of(st.none(), st.integers(1, 400)))
+    def test_equals_the_scalar_test(self, slot, rate, payload, s0, n_slots, cap):
+        # Packet n is generated by slot s when n * interarrival <= s * slot
+        # + 1e-9. Rates such as 12 Mb/s put arrivals exactly on slot starts.
+        interarrival = payload * 8 / rate
+        slots = np.arange(s0, s0 + n_slots)
+        top = max(int((s0 + n_slots) * slot / interarrival) + 3, 2)  # mac_pass: at least 2
+        max_pk = top if cap is None else min(cap, top)
+        got = packets_generated(slots, slot, interarrival, max_pk).tolist()
+        lim = [s * slot + 1e-9 for s in slots.tolist()]
+        # The test is monotone in n, so it holds for n - 1 and fails for n.
+        for n, x in zip(got, lim):
+            assert n == 0 or (n - 1) * interarrival <= x
+            assert n == max_pk or n * interarrival > x
+        if max_pk <= 20000:  # brute force: the test on every packet
+            times = np.arange(max_pk) * interarrival
+            assert got == [int(np.count_nonzero(times <= x)) for x in lim]
 
 
 @st.composite

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from channel_oracle import (
     beam_gain_db,
@@ -374,6 +376,31 @@ class TestMetrics:
         assert s.median_latency_s == pytest.approx(0.375)
         assert s.p99_latency_s == pytest.approx(0.25 + 0.99 * 0.25)
         assert s.loss_fraction == pytest.approx(0.25)
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(n=st.integers(1, 3 * simulation._WRITE_ROWS), delivered=st.sampled_from(["one", "many"]),
+           grid=st.sampled_from([0.0, 1e-3, 0.1]), seed=st.integers(0, 2**32 - 1))
+    def test_latency_statistics_equal_the_two_copy_expression(self, n, delivered, grid, seed):
+        # summarize subtracts t_gen in chunks from one copy of the delivery
+        # times and lets the order statistics reorder it; mean, median and p99
+        # stay those of t_deliver[mask] - t_gen[mask], bit for bit. A coarse
+        # grid of latencies gives ties; n spans several chunks.
+        rng = np.random.default_rng(seed)
+        t_gen = np.sort(rng.uniform(0.0, 4.0, n))
+        lat = rng.uniform(1e-4, 0.3, n)
+        if grid:
+            lat = np.round(lat / grid) * grid + 1e-4
+        outcome = rng.choice([DELIVERED, DROPPED_BUFFER, DROPPED_HARQ, IN_FLIGHT], n)
+        if delivered == "one":
+            outcome[:] = DROPPED_BUFFER
+        outcome[rng.integers(n)] = DELIVERED
+        mask = outcome == DELIVERED
+        log = manual_log(t_gen, np.where(mask, t_gen + lat, math.nan), outcome)
+        want = log.t_deliver[mask] - log.t_gen[mask]
+        s = summarize(log)
+        assert s.mean_latency_s == float(want.mean())
+        assert s.median_latency_s == float(np.median(want))
+        assert s.p99_latency_s == float(np.percentile(want, 99))
 
     def test_empty_summary_flag(self):
         log = manual_log([], [], [])
