@@ -4,9 +4,10 @@ the mmWave and LTE-class radio profiles."""
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .channel import LinkProfile
 
@@ -111,16 +112,6 @@ def build_mcs_table() -> tuple[McsEntry, ...]:
 _DEFAULT_TABLE = build_mcs_table()
 
 
-def default_mcs_table() -> tuple[McsEntry, ...]:
-    return _DEFAULT_TABLE
-
-
-def select_mcs(table, snr: float) -> McsEntry | None:
-    """Highest entry whose threshold is at or below ``snr``; None means outage."""
-    i = bisect_right([e.snr_threshold for e in table], snr) - 1
-    return table[i] if i >= 0 else None
-
-
 def tb_bits(profile: RatProfile, mcs: McsEntry) -> int:
     """Transport-block capacity of one slot at the given MCS."""
     raw = (
@@ -141,6 +132,12 @@ def bler(mcs: McsEntry, snr: float) -> float:
     if x < -60.0:
         return BLER_MAX
     return min(max(1.0 / (1.0 + math.exp(x)), BLER_MIN), BLER_MAX)
+
+
+def bler_estimate(snr_threshold: np.ndarray, snr: np.ndarray) -> np.ndarray:
+    """``bler`` over arrays with ``np.exp``: within 1e-12 of ``bler``, not bit-equal."""
+    x = np.clip((snr - (snr_threshold - BLER_MIDPOINT_OFFSET_DB)) / BLER_SLOPE_DB, -60.0, 60.0)
+    return np.clip(1.0 / (1.0 + np.exp(x)), BLER_MIN, BLER_MAX)
 
 
 def harq_step(

@@ -7,9 +7,7 @@ from __future__ import annotations
 import math
 import os
 import random
-from collections import deque
 from dataclasses import dataclass
-from itertools import pairwise
 
 import numpy as np
 
@@ -49,7 +47,6 @@ SAMPLE_DTYPE = np.dtype([(name, np.float64) for name in (
 
 _T_EPS = 1e-9
 _CHUNK_SLOTS = 2048  # channel-stage chunk; its temporaries add to peak RSS (4096: +2.8 %)
-_MIN_SCAN_SLOTS = 8  # a shorter MAC scan doubles the slot-by-slot run before the next one
 _WRITE_ROWS = 8192  # CSV rows per write (65536: +15 MB peak RSS, 120 s 10 Mb/s run)
 
 
@@ -136,17 +133,20 @@ def _packet_bits(config: ScenarioConfig) -> int:
     return (config.payload + config.header_overhead) * 8
 
 
-def _array_sizes(config: ScenarioConfig) -> tuple[int, int]:
-    """(slots, packet rows) of a run; ValueError if its arrays exceed physical memory."""
+def _array_sizes(config: ScenarioConfig) -> tuple[int, int, int]:
+    """(slots, packet rows, slots per recorded channel sample) of a run; ValueError if
+    its arrays, with the temporaries of ``summarize``, exceed physical memory."""
     n_slots = int(round(config.sim_window / config.profile.slot_duration))
     max_pk = int(config.sim_window / (config.payload * 8 / config.source_rate)) + 2
-    packet_bytes = max_pk * 17  # t_gen, t_deliver float64; outcome int8
-    snr_bytes = n_slots * 8
+    record_every = max(1, round(DEFAULT_SNR_SAMPLE_INTERVAL / config.profile.slot_duration))
+    packet_bytes = max_pk * (17 + 9)  # t_gen, t_deliver, outcome; summarize's mask and latencies
+    # Per-slot SNR; each recorded sample, and summarize's list of its SNR (a float and a pointer).
+    snr_bytes = n_slots * 8 + len(range(0, n_slots, record_every)) * (SAMPLE_DTYPE.itemsize + 32)
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if packet_bytes + snr_bytes > physical:
-        raise ValueError(f"run needs {packet_bytes} bytes of packet arrays and {snr_bytes} bytes "
-                         f"of per-slot SNR, more than the {physical} bytes of physical memory")
-    return n_slots, max_pk
+        raise ValueError(f"run needs {packet_bytes} bytes for packets and {snr_bytes} bytes for "
+                         f"channel samples, more than the {physical} bytes of physical memory")
+    return n_slots, max_pk, record_every
 
 
 def run(config: ScenarioConfig) -> MetricsLog:
@@ -176,7 +176,7 @@ def channel_pass(config: ScenarioConfig, shadow: ShadowingField) -> tuple[np.nda
     """
     prof = config.profile
     slot = prof.slot_duration
-    n_slots, _ = _array_sizes(config)
+    n_slots, _, record_every = _array_sizes(config)
 
     bs = np.reshape(config.bs_position, (3, 1))
     aim = tuple(np.subtract(config.trace.centroid(), config.bs_position).tolist())
@@ -194,7 +194,6 @@ def channel_pass(config: ScenarioConfig, shadow: ShadowingField) -> tuple[np.nda
     nf = noise_floor_dbm(link.bandwidth, link.noise_figure)
     fc = link.carrier_freq
 
-    record_every = max(1, round(DEFAULT_SNR_SAMPLE_INTERVAL / slot))
     snr_arr = np.empty(n_slots)
     samples = np.empty(len(range(0, n_slots, record_every)), dtype=SAMPLE_DTYPE)
     samples["tx_power"], samples["noise_floor"] = link.tx_power, nf
@@ -249,19 +248,17 @@ def packets_generated(slots: np.ndarray, slot: float, interarrival: float,
 def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.ndarray, ...]:
     """(t_gen, t_deliver, outcome) of the packets sent over ``snr``, one per slot.
 
-    Each slot: admit the CBR arrivals (tail-drop over the buffer limit), pick
-    an MCS, fill a transport block FIFO from the queue (byte-granular, a packet
-    may span slots) and resolve HARQ. A failed block stalls the link until its
-    retransmission slot; outage slots defer everything.
-
-    With no block pending, the slots up to the next event, at most a chunk, are
-    one integer prefix scan: the bits sent by the end of slot ``s``, ``D[s] =
-    min(A[s], D[s-1] + c[s])``, are ``C[s] + min(0, min(A[:s+1] - C[:s+1]))``
-    for the cumulative capacity ``C`` and bits admitted ``wait`` slots earlier
-    ``A``. A slot whose ``D`` grows sends a block; a packet completes in the
-    first slot whose ``D`` reaches its end. An event (a failed first attempt,
-    arrivals that overflow the buffer, a queue with gaps from drops) goes to the
-    slot-by-slot code until no block is pending.
+    Each slot admits the CBR arrivals that fit the buffer (tail drop) and fills
+    a transport block FIFO from the queue, byte-granular: in admission order,
+    slot s admits ``K[s] = min(K[s-1] + arrivals, (buffer + D[s-1]) // P)``
+    packets and puts ``D[s] = min(P * K[s - wait], D[s-1] + c[s])`` bits in
+    blocks. A scan solves both as prefix scans up to the first failed first
+    attempt or the first slot its form fails: *saturated*, ``D`` the capacity
+    ``C`` and ``K - G`` the prefix-min of ``(buffer + D[s-1]) // P - G`` for
+    arrivals ``G``; *sparse*, no drop, ``D - C`` the prefix-min of ``P * K -
+    C``; *busy*, also a block in every live slot. A failed block stalls the
+    link; ``harq_step`` takes its next attempts, each in the first live slot a
+    round trip after the last.
     """
     prof = config.profile
     slot = prof.slot_duration
@@ -274,144 +271,150 @@ def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.n
 
     table = prof.mcs_table
     thresholds = np.array([e.snr_threshold for e in table])
-    tb_caps = [phy.tb_bits(prof, e) // 8 * 8 for e in table]  # byte-aligned bits
-    caps = np.array(tb_caps + [0])  # caps[-1]: no grant in outage
+    caps = np.array([phy.tb_bits(prof, e) // 8 * 8 for e in table] + [0])  # byte-aligned; outage
 
-    _, max_pk = _array_sizes(config)
+    max_pk = _array_sizes(config)[1]
     t_del_arr = np.full(max_pk, np.nan)
     outcome_arr = np.zeros(max_pk, dtype=np.int8)
 
-    draws, di = [], 0  # HARQ uniforms drawn ahead, used in attempt order from draws[di]
-    queue: deque[list] = deque()  # [first, end) ranges of admitted packet indices
-    head_sent = 0  # bits of packet queue[0][0] already placed in a block
-    queued_bits = 0
-    n_gen = 0
-    pending: TransportBlock | None = None
-    pending_next = 0
-    c0 = c1 = 0  # the chunk [c0, c1) of slots whose per-slot arrays are at hand
-    next_scan, backoff, span = 0, 0, _CHUNK_SLOTS
+    # Packets admitted (k_tab) and generated (g_tab) by the end of each slot since the
+    # head packet's admission, a row per admitted count, and of the wait + 1 slots before
+    # the chunk. Packet k of the admission order is k + g - k' for the last k' <= k.
+    k_tab = g_tab = np.zeros(wait + 1, dtype=np.int64)
+    draws, di = np.empty(0), 0  # HARQ uniforms, one per slot of a chunk ahead, used from di on
+    sent, done = 0, np.zeros(1, dtype=np.int64)  # D; per slot, D less a block yet to succeed
+    block, lo, nxt = None, 0, 0  # a failed block, the bits before it and its next attempt's slot
+    unsaturated = form = "busy" if interarrival <= slot else "sparse"  # busy: arrivals each slot
 
-    nxt = 0
-    while nxt < n_slots:
-        if nxt >= c1:
-            c0, c1 = nxt, min(nxt + _CHUNK_SLOTS, n_slots)
-            mcs_c = thresholds.searchsorted(snr[c0:c1], side="right") - 1
-            cap_c = np.cumsum(caps[mcs_c])
-            # Packets a block may take in each slot; gen_c[wait:] have arrived by it.
-            gen_c = packets_generated(np.arange(c0 - wait, c1), slot, interarrival, max_pk)
-            bits_c = gen_c * pkt_bits
-            t_end_c = np.arange(c0, c1) * slot + slot  # the delivery time of each slot
-            mcs_l, gen_l, snr_l = mcs_c.tolist(), gen_c.tolist(), snr[c0:c1].tolist()
-            # A slot makes at most one attempt: top the uniforms drawn ahead up to a chunk.
-            draws = draws[di:] + [harq_rng.random() for _ in range(c1 - c0 + di - len(draws))]
-            di = 0
+    def first_failure(slots, fails):
+        """Of the first attempts in ``slots``, drawing from draws[di] (``fails``: below p_err
+        + 1e-12), the index m of the first to fail, and the count of slots i .. slots[m]."""
+        m = 0
+        while m < len(slots):
+            m += int(fails[m:].argmax())
+            if not fails[m]:
+                break
+            s, u = slots.item(m), draws.item(di + m)
+            if u < p_err.item(s) - 1e-12 or u < phy.bler(table[mcs.item(s)], snr_c.item(s)):
+                return m, s + 1 - i
+            m += 1
+        return len(slots), n - i
 
-        if pending is None and nxt >= next_scan:
-            i, head = nxt - c0, queue[0][0] if queue else n_gen
-            w = min(c1 - c0, i + span)  # it looks at slots [nxt, c0 + w); short scans, short arrays
-            stop = 0  # and resolves slots [nxt, nxt + stop)
-            if all(a[1] == b[0] for a, b in pairwise([*queue, [n_gen]])):  # no gap from drops
-                base = head * pkt_bits + head_sent
-                sent = np.minimum.accumulate(np.maximum(bits_c[i:w] - base, 0) - cap_c[i:w])
-                sent = cap_c[i:w] + np.minimum(sent, -cap_c[i - 1] if i else 0)
-                before = np.concatenate(([0], sent[:-1]))
-                overflow = bits_c[wait + i:wait + w] - before > base + buffer_bits
-                stop = int(overflow.argmax()) if overflow.any() else w - i
-                blocks = ((sent[:stop] > before[:stop]).nonzero()[0] + i).tolist()
-                for j, u in zip(blocks, draws[di:di + len(blocks)]):  # first attempts, in order
-                    if u < phy.bler(table[mcs_l[j]], snr_l[j]):
-                        stop = j - i
-                        break
+    def packets(k0, k1):
+        """Indices of packets k0 .. k1 - 1 of the admission order."""
+        j = k_tab.searchsorted((k0, k1 - 1), side="right") - 1
+        lag = (g_tab[j] - k_tab[j]).tolist()
+        if lag[0] == lag[1]:  # no drop among them
+            return slice(k0 + lag[0], k1 + lag[0])
+        ks = np.arange(k0, k1)
+        j = k_tab.searchsorted(ks, side="right") - 1
+        return ks + (g_tab[j] - k_tab[j])
+
+    for c0 in range(0, n_slots, _CHUNK_SLOTS):
+        n = min(_CHUNK_SLOTS, n_slots - c0)
+        snr_c = snr[c0:c0 + n]
+        mcs = thresholds.searchsorted(snr_c, side="right") - 1
+        cum = np.concatenate(([0], np.cumsum(caps[mcs])))  # cum[j]: capacity of slots c0 .. c0+j-1
+        live = np.append(np.flatnonzero(mcs >= 0), n)
+        live_before = np.concatenate(([0], np.cumsum(mcs >= 0)))  # live[live_before[j]] >= j
+        p_err = phy.bler_estimate(thresholds[mcs], snr_c)  # of a first attempt in each slot
+        may_fail = p_err[live[:-1]] + 1e-12
+        b = len(k_tab)  # the row of slot c0
+        k_tab = np.concatenate((k_tab, np.empty(n, dtype=np.int64)))
+        g_tab = np.concatenate((g_tab, packets_generated(np.arange(c0, c0 + n), slot,
+                                                         interarrival, max_pk)))
+        done = np.concatenate((done[-1:], np.empty(n, dtype=np.int64)))  # done[j + 1]: slot c0+j
+        draws = np.append(draws[di:], [harq_rng.random() for _ in range(n + di - len(draws))])
+        di = i = 0
+        dropped = []  # admission-order ranges of HARQ drops
+        while i < n or block is not None and nxt < c0 + n:  # a chunk's last slot may fail
+            row = b + i
+            lag = g_tab.item(row - 1) - k_tab.item(row - 1)  # packets dropped so far
+            if block is not None:  # its next attempt goes in the first live slot r from nxt on
+                r = live.item(live_before.item(min(max(nxt - c0, 0), n)))
+                if r < n:
+                    result, nxt = harq_step(block, phy.bler(table[block.mcs], snr_c.item(r)),
+                                            draws.item(di), harq_rtt=prof.harq_rtt,
+                                            max_harq_tx=prof.max_harq_tx, current_slot=c0 + r)
                     di += 1
-            if stop:
-                done, rest = divmod(int(sent[stop - 1]) + head_sent, pkt_bits)
-                # Packet head + k completes in the first slot with (k + 1) * pkt_bits sent.
-                ends = np.arange(pkt_bits - head_sent, done * pkt_bits - head_sent + 1, pkt_bits)
-                t_del_arr[head:head + done] = t_end_c[i:i + stop][sent.searchsorted(ends)]
-                outcome_arr[head:head + done] = DELIVERED
-                n_gen = gen_l[wait + i + stop - 1]
-                head, head_sent = head + done, rest
-                queue = deque([[head, n_gen]] if head < n_gen else [])
-                queued_bits = (n_gen - head) * pkt_bits - head_sent
-            nxt += stop
-            if stop < w - i:  # an event at slot nxt
-                backoff = 0 if stop >= _MIN_SCAN_SLOTS else min(2 * backoff or _MIN_SCAN_SLOTS,
-                                                                 _CHUNK_SLOTS)
-                next_scan, span = nxt + 1 + backoff, max(2 * stop, 8 * _MIN_SCAN_SLOTS)
-            else:
-                span *= 2
-            continue
-
-        s, nxt = nxt, nxt + 1
-        j = s - c0
-
-        # CBR arrivals up to the slot start; tail drops.
-        n = gen_l[wait + j]
-        if n > n_gen:
-            admit = n_gen + (buffer_bits - queued_bits) // pkt_bits
-            if admit < n:
-                outcome_arr[admit:n] = DROPPED_BUFFER
-            else:
-                admit = n
-            if admit > n_gen:
-                queue.append([n_gen, admit])
-                queued_bits += (admit - n_gen) * pkt_bits
-            n_gen = n
-
-        mcs_i = mcs_l[j]
-        if mcs_i < 0:
-            continue  # outage: no grant, retransmissions wait too
-
-        # Start a new block only when the link is idle, with the packets of ``wait`` slots ago.
-        if pending is None:
-            ready = gen_l[j]
-            cap = room = tb_caps[mcs_i]
-            pending_done = []  # [first, end) ranges of the packets the block completes
-            while room and queue:  # every size is a multiple of 8 bits
-                r = queue[0]
-                first, end = r
-                if end > ready:
-                    end = ready
-                if first >= end:
+                    if result is Outcome.RETRANSMIT:
+                        continue
+                # Until its last attempt the link sends nothing, and arrivals fill the buffer.
+                k_tab[row:b + r + 1] = np.minimum(g_tab[row:b + r + 1] - lag,
+                                                  (buffer_bits + sent) // pkt_bits)
+                done[i + 1:r + 2] = lo
+                i = max(i, r + 1)
+                if r == n:
                     break
-                take = min(room, (end - first) * pkt_bits - head_sent)
-                k, head_sent = divmod(head_sent + take, pkt_bits)
-                room -= take
-                queued_bits -= take
-                pending_done.append((first, first + k))
-                r[0] = first + k
-                if r[0] == r[1]:
-                    queue.popleft()
-            if room < cap:
-                pending = TransportBlock(bits=cap - room, mcs=mcs_i)
-                pending_next = s
-
-        if pending is not None and s >= pending_next:
-            p_err = phy.bler(table[pending.mcs], snr_l[j])
-            result, when = harq_step(pending, p_err, draws[di], harq_rtt=prof.harq_rtt,
-                                     max_harq_tx=prof.max_harq_tx, current_slot=s)
-            di += 1
-            if result is Outcome.DELIVERED:
-                for a, b in pending_done:
-                    at = a if b - a == 1 else slice(a, b)  # an item sets faster than a slice
-                    t_del_arr[at] = t_end_c[j]
-                    outcome_arr[at] = DELIVERED
-            elif result is Outcome.DROPPED:
-                if head_sent:  # the block ends in part of the head packet: drop all of it
-                    r = queue[0]
-                    pending_done.append((r[0], r[0] + 1))
-                    queued_bits -= pkt_bits - head_sent
-                    head_sent = 0
-                    r[0] += 1
-                    if r[0] == r[1]:
-                        queue.popleft()
-                for a, b in pending_done:
-                    outcome_arr[a:b] = DROPPED_HARQ
-            else:
-                pending_next = when
+                if result is Outcome.DROPPED:  # with the part-sent packet it ends in
+                    sent = -(-sent // pkt_bits) * pkt_bits
+                    dropped.append((lo // pkt_bits, sent // pkt_bits))
+                done[r + 1], block = sent, None
                 continue
-            pending = None
 
+            if form == "sparse":
+                w = n - i
+            else:  # a block in every live slot
+                a = live_before.item(i)
+                slots = live[a:-1]
+                m, w = first_failure(slots, draws[di:di + len(slots)] < may_fail[a:])
+            gen = g_tab[row:row + w]
+            if form == "saturated":
+                np.add(cum[i:i + w + 1], sent - cum[i], out=done[i:i + w + 1])
+                k = (buffer_bits + done[i:i + w]) // pkt_bits - gen
+                np.minimum.accumulate(k, out=k)
+                np.add(np.minimum(k, -lag, out=k), gen, out=k_tab[row:row + w])
+                bad = done[i + 1:i + w + 1] > k_tab[row - wait:row + w - wait] * pkt_bits  # unready
+            else:  # slot i admits what fits, and no later slot drops
+                k_i = min(gen.item(0) - lag, (buffer_bits + sent) // pkt_bits)
+                np.subtract(gen, gen.item(0) - k_i, out=k_tab[row:row + w])
+                d = done[i + 1:i + w + 1]
+                np.subtract(k_tab[row - wait:row + w - wait] * pkt_bits, cum[i + 1:i + w + 1],
+                            out=d)
+                np.minimum.accumulate(d, out=d)
+                np.add(np.minimum(d, sent - cum[i], out=d), cum[i + 1:i + w + 1], out=d)
+                if form == "sparse":
+                    slots = np.flatnonzero(d > done[i:n]) + i
+                    m, w = first_failure(slots, draws[di:di + len(slots)] < p_err[slots] + 1e-12)
+                bad = over = k_tab[row:row + w] * pkt_bits - done[i:i + w] > buffer_bits
+                if form == "busy":  # or a live slot with nothing to send
+                    bad = over | (d[:w] == done[i:i + w]) & (mcs[i:i + w] >= 0)
+            stop = int(bad.argmax())
+            stop = stop if bad[stop] else w
+            if stop < w:  # the form fails, and another one takes over from slot i + stop
+                form = (unsaturated if form == "saturated" else
+                        "saturated" if over[stop] else "sparse")
+                m = int(slots.searchsorted(i + stop))
+            elif form == "sparse":
+                form = unsaturated
+            sent = done.item(i + stop)
+            if stop == w and m < len(slots):  # the link stalls on the failed block
+                lo, nxt = done.item(i + stop - 1), c0 + i + stop - 1
+                block = TransportBlock(bits=sent - lo, mcs=mcs.item(i + stop - 1))
+                done[i + stop] = lo
+            di, i = di + m, i + stop
+
+        # Packet k completes in the first slot whose done reaches (k + 1) * pkt_bits.
+        k0, head = done.item(0) // pkt_bits, done.item(n) // pkt_bits
+        at = packets(k0, head)
+        slots = done[1:].searchsorted(np.arange(k0 + 1, head + 1) * pkt_bits) + c0
+        t_del_arr[at] = slots * slot + slot
+        outcome_arr[at] = DELIVERED
+        for k0, k1 in dropped:
+            at = packets(k0, k1)
+            t_del_arr[at] = np.nan
+            outcome_arr[at] = DROPPED_HARQ
+        # Keep the rows that map a packet not yet settled, and the last wait + 1.
+        last = len(k_tab) - wait - 1
+        j0 = min(int(k_tab.searchsorted(head, side="right")) - 1, last)
+        rows = np.concatenate((np.flatnonzero(k_tab[j0:last] < k_tab[j0 + 1:last + 1]) + j0,
+                               np.arange(last, len(k_tab))))
+        k_tab, g_tab = k_tab[rows], g_tab[rows]
+
+    n_gen, n_adm = g_tab.item(-1), k_tab.item(-1)
+    if n_gen > n_adm:  # what was neither settled nor queued was dropped on arrival
+        outcome_arr[:n_gen][outcome_arr[:n_gen] == IN_FLIGHT] = DROPPED_BUFFER
+        outcome_arr[packets(done.item(-1) // pkt_bits, n_adm)] = IN_FLIGHT
     t_gen = np.arange(n_gen, dtype=np.float64)
     t_gen *= interarrival  # bit-equal to n * interarrival
     return t_gen, t_del_arr[:n_gen], outcome_arr[:n_gen]

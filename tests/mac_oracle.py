@@ -46,7 +46,7 @@ def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.n
     thresholds = [e.snr_threshold for e in table]
     tb_caps = [phy.tb_bits(prof, e) // 8 * 8 for e in table]  # byte-aligned bits
 
-    _, max_pk = _array_sizes(config)
+    max_pk = _array_sizes(config)[1]
     t_gen_arr = np.zeros(max_pk)
     t_del_arr = np.full(max_pk, np.nan)
     outcome_arr = np.zeros(max_pk, dtype=np.int8)

@@ -22,7 +22,7 @@ from uavlink.campaign import build_scenario
 from uavlink.channel import ShadowingField, doppler_shift, fspl_db
 from uavlink.missions import MissionArchetype, synth_trace
 from uavlink.mobility import TrajectorySampler
-from uavlink.phy import default_mcs_table, select_mcs
+from uavlink.phy import mmwave_profile
 from uavlink.simulation import channel_pass, run, summarize
 
 SEED = 42
@@ -183,10 +183,10 @@ def test_criterion_7_property_suite(monkeypatch):
         assert s_i.generated == s_i.delivered + s_i.dropped_buffer + s_i.dropped_harq + s_i.in_flight
 
     # Monotone MCS selection.
-    table = default_mcs_table()
+    thresholds = np.array([e.snr_threshold for e in mmwave_profile().mcs_table])
     rng = random.Random(5)
     snrs = sorted(rng.uniform(-20, 45) for _ in range(500))
-    indices = [-1 if select_mcs(table, s) is None else select_mcs(table, s).index for s in snrs]
+    indices = (thresholds.searchsorted(snrs, side="right") - 1).tolist()
     assert indices == sorted(indices)
 
     # Bit-identical rerun under a fixed seed.

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from mac_oracle import mac_pass as oracle_mac_pass
 from uavlink import simulation
 from uavlink.campaign import build_scenario
+from uavlink.channel import ShadowingField
 from uavlink.missions import MissionArchetype, synth_trace
 from uavlink.phy import BLER_MAX, Outcome, bler, lte_profile, mmwave_profile, tb_bits
 from uavlink.simulation import (
@@ -22,8 +23,10 @@ from uavlink.simulation import (
     DROPPED_BUFFER,
     DROPPED_HARQ,
     IN_FLIGHT,
+    channel_pass,
     mac_pass,
     packets_generated,
+    run,
 )
 
 TRACE = synth_trace(MissionArchetype("overwatch_orbit", duration=120.0), seed=1)
@@ -131,6 +134,30 @@ class TestAgainstOracle:
         snr = around_thresholds(n_slots, snr_seed, centre, spread, outage_frac)
         assert_matches_oracle(random_config("lte", n_slots, rate, payload, prof), snr, harq_seed)
 
+    @settings(CI_SETTINGS, max_examples=100)
+    @given(kind=st.sampled_from(["16x4-class", "lte-1gbps", "overflow-and-harq-drops"]),
+           n_slots=st.integers(200, 2 * _CHUNK_SLOTS + 300),
+           rate=st.floats(0.5e9, 1.5e9),
+           payload=st.integers(1000, 9000),
+           centre=st.integers(4, 16),
+           spread=st.floats(0.0, 6.0),
+           snr_seed=st.integers(0, 2**32 - 1),
+           harq_seed=st.integers(0, 2**32 - 1))
+    def test_saturated_and_harq_heavy_configs(self, kind, n_slots, rate, payload, centre, spread,
+                                              snr_seed, harq_seed):
+        # Gigabit sources into links that carry less: the buffer stays full, the
+        # first attempts fail near 10 % of the time, and for the third kind
+        # retransmissions meet deep fades inside an outage that overflows the buffer.
+        profile = "lte" if kind == "lte-1gbps" else "mmwave"
+        if profile == "lte":
+            n_slots = n_slots // 5 + 1  # 1 ms slots, a scheduling delay of 4 slots
+        snr = around_thresholds(n_slots, snr_seed, centre, spread, outage_frac=0.05)
+        if kind == "overflow-and-harq-drops":
+            fades = np.random.default_rng(snr_seed).random(n_slots) < 0.3
+            snr[fades] = BOTTOM + 0.1  # BLER_MAX for any block sent at a higher MCS
+            snr[n_slots // 3:n_slots // 3 + 150] = OUTAGE
+        assert_matches_oracle(random_config(profile, n_slots, rate, payload), snr, harq_seed)
+
 
 TOP, BOTTOM = THRESHOLDS[-1], THRESHOLDS[0]
 CLEAR = TOP + 40.0  # BLER_MIN at the top MCS
@@ -178,6 +205,42 @@ def parked_on_a_threshold():
     return np.full(3 * _CHUNK_SLOTS, THRESHOLDS[20])
 
 
+def retransmission_after_an_outage():
+    # The first block fails in slot 300; the outage that follows holds its
+    # retransmission back past the round trip, to the first live slot, 331.
+    snr = np.full(2 * _CHUNK_SLOTS, CLEAR)
+    snr[:300] = snr[301:331] = OUTAGE
+    snr[300] = TOP
+    return snr
+
+
+def third_attempt_drop_with_a_full_buffer():
+    # 300 slots of outage at 1 Gb/s fill the buffer; the first block (not a
+    # whole number of packets) fails three times while arrivals keep overflowing.
+    snr = np.full(2 * _CHUNK_SLOTS, CLEAR)
+    snr[:300] = OUTAGE
+    snr[300] = TOP
+    snr[304] = snr[308] = BOTTOM + 0.1
+    return snr
+
+
+def saturated_across_the_border():
+    # One live slot in four carries 3.2 Gb/s, 0.8 Gb/s on average: 1 Gb/s
+    # keeps the buffer full over the chunk border.
+    snr = np.full(2 * _CHUNK_SLOTS + 300, OUTAGE)
+    snr[::4] = CLEAR
+    return snr
+
+
+def saturated_then_drained():
+    # An outage fills the buffer; at 60 Mb/s, the LTE peak of 75.2 Mb/s
+    # drains it again over the chunk border, where the backlogged link admits
+    # every arrival, and the scan that assumed a backlog has to stop.
+    snr = np.full(_CHUNK_SLOTS + 1000, CLEAR)
+    snr[_CHUNK_SLOTS - 300:_CHUNK_SLOTS - 100] = OUTAGE
+    return snr
+
+
 BORDER_CASES = {
     "harq-failure-in-last-chunk-slot": ("mmwave", 10e6, one_failure_across_the_border,
                                         failing_first_draw_seed()),
@@ -186,6 +249,13 @@ BORDER_CASES = {
     "lte-wait-over-the-border": ("lte", 12e6, lte_wait_over_the_border, 4),
     "parked-on-a-threshold-10mbps": ("mmwave", 10e6, parked_on_a_threshold, 8),
     "parked-on-a-threshold-96mbps": ("mmwave", 96e6, parked_on_a_threshold, 8),
+    "retransmission-after-an-outage": ("mmwave", 10e6, retransmission_after_an_outage,
+                                       failing_first_draw_seed()),
+    "third-attempt-drop-with-a-full-buffer": ("mmwave", 1000e6,
+                                              third_attempt_drop_with_a_full_buffer,
+                                              failing_first_draw_seed()),
+    "saturated-across-the-border": ("mmwave", 1000e6, saturated_across_the_border, 4),
+    "lte-saturated-then-drained": ("lte", 60e6, saturated_then_drained, 4),
 }
 
 
@@ -214,7 +284,43 @@ class TestChunkAndScanBorders:
             assert (outcome == DROPPED_BUFFER).any()
         elif case.startswith("parked"):
             assert len(failed) > 20
+        elif case == "retransmission-after-an-outage":
+            assert [a[:2] for a in attempts[:2]] == [(300, 1), (331, 2)]
+            assert failed == [(300, 1)]
+        elif case == "third-attempt-drop-with-a-full-buffer":
+            assert failed == [(300, 1), (304, 2), (308, 3)]
+            assert (outcome == DROPPED_HARQ).sum() == 33  # 32 whole packets and the part-sent one
+            stall = outcome[round(300 * 125e-6 / 12e-6):round(309 * 125e-6 / 12e-6)]
+            assert (stall == DROPPED_BUFFER).sum() > 50  # 12 us between arrivals
+        elif case == "saturated-across-the-border":
+            # Tail drops among the arrivals of the 20 slots on each side of the border.
+            at = round(_CHUNK_SLOTS * 125e-6 / 12e-6)
+            assert (outcome[at - 200:at] == DROPPED_BUFFER).any()
+            assert (outcome[at:at + 200] == DROPPED_BUFFER).any()
+        elif case == "lte-saturated-then-drained":
+            assert (outcome == DROPPED_BUFFER).any()
+            assert (outcome[-100:] == DELIVERED).any()  # the queue drained: new packets go
         assert (outcome == DELIVERED).sum() > 100
+
+
+class TestSweepMatrixCells:
+    """The gigabit cells of the sweep-matrix benchmark that carry its saturated
+    traffic, over their first second, with the channel stage's own SNR."""
+
+    @pytest.mark.parametrize("profile, antennas", [("mmwave", "16x4"), ("lte", "1x1")])
+    def test_distant_gigabit_cell_against_oracle(self, profile, antennas):
+        trace = synth_trace(MissionArchetype("overwatch_orbit"), seed=0)
+        cfg = build_scenario(trace, profile, antennas, 1000e6, "distant_2km", 0, 1.0)
+        seeder = random.Random(cfg.seed)  # the streams run() draws
+        shadow = ShadowingField(sigma=cfg.shadowing_sigma, seed=seeder.getrandbits(64))
+        harq_seed = seeder.getrandbits(64)
+        snr, _ = channel_pass(cfg, shadow)
+        t_gen, t_deliver, outcome = assert_matches_oracle(cfg, snr, harq_seed)
+        log = run(cfg)
+        assert log.t_deliver.tobytes() == t_deliver.tobytes()
+        assert log.outcome.tobytes() == outcome.tobytes()
+        assert (outcome == DROPPED_BUFFER).sum() > len(t_gen) // 2  # saturated
+        assert (outcome == DELIVERED).sum() > 1000
 
 
 class TestArrivalCount:

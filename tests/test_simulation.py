@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -515,6 +516,22 @@ class TestConfigValidation:
                     source_rate=1e6,
                     sim_window=window,
                 )
+
+    def test_refusal_counts_the_temporaries_of_summarize(self, monkeypatch):
+        # 1 s at 10 Mb/s: 8000 slots, 835 packet rows, 200 recorded samples. A
+        # machine with a byte less than the run and summarize need refuses it
+        # up front, before the channel stage allocates anything.
+        cfg = scenario(rate=10e6, window=1.0)
+        arrays = 835 * 17 + 8000 * 8 + 200 * SAMPLE_DTYPE.itemsize
+        temporaries = 835 * (1 + 8) + 200 * 32  # delivered mask, latency copy, list of SNRs
+        for physical in (arrays + temporaries - 1, arrays + temporaries):
+            monkeypatch.setattr(simulation, "os", SimpleNamespace(
+                sysconf=lambda name, pages=physical: pages if name == "SC_PHYS_PAGES" else 1))
+            if physical < arrays + temporaries:
+                with pytest.raises(ValueError, match="physical memory"):
+                    run(cfg)
+            else:
+                assert summarize(run(cfg)).generated == 834
 
     def test_default_bs_position_is_centroid_at_25m(self):
         cfg = ScenarioConfig(
