@@ -256,9 +256,8 @@ def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.n
     attempt or the first slot its form fails: *saturated*, ``D`` the capacity
     ``C`` and ``K - G`` the prefix-min of ``(buffer + D[s-1]) // P - G`` for
     arrivals ``G``; *sparse*, no drop, ``D - C`` the prefix-min of ``P * K -
-    C``; *busy*, also a block in every live slot. A failed block stalls the
-    link; ``harq_step`` takes its next attempts, each in the first live slot a
-    round trip after the last.
+    C``. A failed block stalls the link; ``harq_step`` takes its next attempts,
+    each in the first live slot a round trip after the last.
     """
     prof = config.profile
     slot = prof.slot_duration
@@ -284,7 +283,7 @@ def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.n
     draws, di = np.empty(0), 0  # HARQ uniforms, one per slot of a chunk ahead, used from di on
     sent, done = 0, np.zeros(1, dtype=np.int64)  # D; per slot, D less a block yet to succeed
     block, lo, nxt = None, 0, 0  # a failed block, the bits before it and its next attempt's slot
-    unsaturated = form = "busy" if interarrival <= slot else "sparse"  # busy: arrivals each slot
+    form = "sparse"
 
     def first_failure(slots, fails):
         """Of the first attempts in ``slots``, drawing from draws[di] (``fails``: below p_err
@@ -352,41 +351,32 @@ def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.n
                 done[r + 1], block = sent, None
                 continue
 
-            if form == "sparse":
-                w = n - i
-            else:  # a block in every live slot
+            if form == "saturated":  # a block in every live slot
                 a = live_before.item(i)
                 slots = live[a:-1]
                 m, w = first_failure(slots, draws[di:di + len(slots)] < may_fail[a:])
-            gen = g_tab[row:row + w]
-            if form == "saturated":
+                gen = g_tab[row:row + w]
                 np.add(cum[i:i + w + 1], sent - cum[i], out=done[i:i + w + 1])
                 k = (buffer_bits + done[i:i + w]) // pkt_bits - gen
                 np.minimum.accumulate(k, out=k)
                 np.add(np.minimum(k, -lag, out=k), gen, out=k_tab[row:row + w])
                 bad = done[i + 1:i + w + 1] > k_tab[row - wait:row + w - wait] * pkt_bits  # unready
             else:  # slot i admits what fits, and no later slot drops
+                gen = g_tab[row:b + n]
                 k_i = min(gen.item(0) - lag, (buffer_bits + sent) // pkt_bits)
-                np.subtract(gen, gen.item(0) - k_i, out=k_tab[row:row + w])
-                d = done[i + 1:i + w + 1]
-                np.subtract(k_tab[row - wait:row + w - wait] * pkt_bits, cum[i + 1:i + w + 1],
-                            out=d)
+                np.subtract(gen, gen.item(0) - k_i, out=k_tab[row:b + n])
+                d = done[i + 1:]
+                np.subtract(k_tab[row - wait:b + n - wait] * pkt_bits, cum[i + 1:], out=d)
                 np.minimum.accumulate(d, out=d)
-                np.add(np.minimum(d, sent - cum[i], out=d), cum[i + 1:i + w + 1], out=d)
-                if form == "sparse":
-                    slots = np.flatnonzero(d > done[i:n]) + i
-                    m, w = first_failure(slots, draws[di:di + len(slots)] < p_err[slots] + 1e-12)
-                bad = over = k_tab[row:row + w] * pkt_bits - done[i:i + w] > buffer_bits
-                if form == "busy":  # or a live slot with nothing to send
-                    bad = over | (d[:w] == done[i:i + w]) & (mcs[i:i + w] >= 0)
+                np.add(np.minimum(d, sent - cum[i], out=d), cum[i + 1:], out=d)
+                slots = np.flatnonzero(d > done[i:n]) + i
+                m, w = first_failure(slots, draws[di:di + len(slots)] < p_err[slots] + 1e-12)
+                bad = k_tab[row:row + w] * pkt_bits - done[i:i + w] > buffer_bits
             stop = int(bad.argmax())
             stop = stop if bad[stop] else w
-            if stop < w:  # the form fails, and another one takes over from slot i + stop
-                form = (unsaturated if form == "saturated" else
-                        "saturated" if over[stop] else "sparse")
+            if stop < w:  # the form fails, and the other one takes over from slot i + stop
+                form = "sparse" if form == "saturated" else "saturated"
                 m = int(slots.searchsorted(i + stop))
-            elif form == "sparse":
-                form = unsaturated
             sent = done.item(i + stop)
             if stop == w and m < len(slots):  # the link stalls on the failed block
                 lo, nxt = done.item(i + stop - 1), c0 + i + stop - 1
