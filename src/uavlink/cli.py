@@ -127,7 +127,7 @@ def cmd_synth_trace(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"trace_{arch.kind}.csv"
     write_trace_csv(trace, path)
-    print(f"wrote {path} ({len(trace.points)} waypoints)")
+    print(f"wrote {path} ({len(trace.t)} waypoints)")
     return 0
 
 

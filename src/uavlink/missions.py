@@ -9,7 +9,9 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .mobility import FlightTrace, GeoPoint, Waypoint
+import numpy as np
+
+from .mobility import FlightTrace, GeoPoint
 
 MISSION_KINDS = (
     "overwatch_orbit",
@@ -21,7 +23,9 @@ MISSION_KINDS = (
 MAX_UAV_SPEED = 20.0  # m/s, small-UAV envelope
 WAYPOINT_SPACING = 1.0  # s between generated waypoints
 LAWNMOWER_LANES = 9  # sweep lines across the area
-WAYPOINT_BYTES = 256  # peak memory per synthesized waypoint: its time, position and Waypoint
+# Peak memory per synthesized waypoint: its time, its (x, y) tuple and the trace
+# columns; tracemalloc reads 168.1 B over a 200 001-waypoint synthesis.
+WAYPOINT_BYTES = 176
 
 # Arbitrary geodetic anchor for synthesized traces; only the local frame matters.
 DEFAULT_ORIGIN = GeoPoint(t=0.0, lat=30.0, lon=0.0, alt=0.0)
@@ -54,28 +58,20 @@ def synth_trace(archetype: MissionArchetype, seed: int = 0) -> FlightTrace:
     millisecond later so the trace invariants still hold. Raises ValueError,
     before allocating them, if the waypoints would not fit in physical memory.
     """
-    positions = _positions(archetype, seed)
-    if len(positions) < 2:
-        x, y = positions[0]
-        points = (
-            Waypoint(0.0, x, y, archetype.altitude),
-            Waypoint(1e-3, x, y, archetype.altitude),
-        )
-        return FlightTrace(origin=DEFAULT_ORIGIN, points=points)
-    points = tuple(
-        Waypoint(i * WAYPOINT_SPACING, x, y, archetype.altitude)
-        for i, (x, y) in enumerate(positions)
-    )
-    return FlightTrace(origin=DEFAULT_ORIGIN, points=points)
-
-
-def _positions(archetype: MissionArchetype, seed: int) -> list[tuple[float, float]]:
     n = int(archetype.duration / WAYPOINT_SPACING) + 1
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if n * WAYPOINT_BYTES > physical:
         raise ValueError(f"mission duration {archetype.duration} s needs {n} waypoints, "
                          f"more than fit in the {physical} bytes of physical memory")
-    times = [i * WAYPOINT_SPACING for i in range(n)]
+    t = np.arange(n) * WAYPOINT_SPACING
+    x, y = np.array(_positions(archetype, t.tolist(), seed)).T
+    if n < 2:
+        t, x, y = np.array([0.0, 1e-3]), np.repeat(x, 2), np.repeat(y, 2)
+    return FlightTrace(DEFAULT_ORIGIN, t, x, y, np.full(len(t), archetype.altitude))
+
+
+def _positions(archetype: MissionArchetype, times: list[float],
+               seed: int) -> list[tuple[float, float]]:
     kind = archetype.kind
     if kind == "overwatch_orbit":
         return _orbit(archetype, times)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -33,58 +33,54 @@ class GeoPoint:
             raise ValueError(f"latitude out of range: {self.lat}")
         if not -180.0 <= self.lon <= 180.0:
             raise ValueError(f"longitude out of range: {self.lon}")
-        if self.alt < 0.0:
-            raise ValueError(f"altitude below ground: {self.alt}")
-        if self.t < 0.0:
-            raise ValueError(f"negative timestamp: {self.t}")
+        if not 0.0 <= self.alt < math.inf:
+            raise ValueError(f"altitude below ground or not finite: {self.alt}")
+        if not 0.0 <= self.t < math.inf:
+            raise ValueError(f"timestamp negative or not finite: {self.t}")
 
 
-@dataclass(frozen=True)
-class Waypoint:
-    """Timestamped position in the local Cartesian frame (meters)."""
-
-    t: float
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        for v in (self.t, self.x, self.y, self.z):
-            if not math.isfinite(v):
-                raise ValueError("non-finite waypoint coordinate")
-        if self.z < 0.0:
-            raise ValueError(f"waypoint below ground: z={self.z}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlightTrace:
-    """Ordered waypoints plus the geodetic origin used for projection."""
+    """Waypoint columns ``t, x, y, z`` (s, local-frame m) plus the geodetic
+    origin used for projection.
+
+    ``v`` (3 x (n - 1)) holds each step's velocity, computed once here: the
+    refusal of a non-finite one and :class:`TrajectorySampler` both read it.
+    """
 
     origin: GeoPoint
-    points: tuple[Waypoint, ...]
+    t: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    v: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.points) < 2:
+        cols = np.array([self.t, self.x, self.y, self.z], dtype=float)
+        cols.flags.writeable = False
+        for name, col in zip("txyz", cols):
+            object.__setattr__(self, name, col)
+        t, _, _, z = cols
+        if len(t) < 2:
             raise ValueError("trace needs at least 2 waypoints")
-        for a, b in zip(self.points, self.points[1:]):
-            if b.t <= a.t:
-                raise ValueError(f"timestamps not strictly increasing at t={b.t}")
-            inv_dt = 1.0 / (b.t - a.t)  # as TrajectorySampler computes the velocity
-            if not all(math.isfinite((q - p) * inv_dt) for p, q in zip(
-                    (a.x, a.y, a.z), (b.x, b.y, b.z))):
-                raise ValueError(f"non-finite velocity in the step ending at t={b.t}")
-
-    @property
-    def duration(self) -> float:
-        return self.points[-1].t - self.points[0].t
+        if not np.isfinite(cols).all():
+            raise ValueError("non-finite waypoint coordinate")
+        if (z < 0.0).any():
+            raise ValueError(f"waypoint below ground: z={z[z < 0.0][0]}")
+        dt = np.diff(t)
+        if (dt <= 0.0).any():
+            raise ValueError(f"timestamps not strictly increasing at t={t[1:][dt <= 0.0][0]}")
+        with np.errstate(over="ignore", invalid="ignore"):  # a subnormal step overflows
+            v = np.diff(cols[1:]) * (1.0 / dt)
+        bad = ~np.isfinite(v).all(axis=0)
+        if bad.any():
+            raise ValueError(f"non-finite velocity in the step ending at t={t[1:][bad][0]}")
+        v.flags.writeable = False
+        object.__setattr__(self, "v", v)
 
     def centroid(self) -> tuple[float, float, float]:
-        n = len(self.points)
-        return (
-            sum(p.x for p in self.points) / n,
-            sum(p.y for p in self.points) / n,
-            sum(p.z for p in self.points) / n,
-        )
+        # Python's left-to-right sum: np.mean sums pairwise and moves the last bit.
+        return tuple(sum(c.tolist()) / len(c) for c in (self.x, self.y, self.z))
 
 
 def latlon_to_xy(p: GeoPoint, ref: GeoPoint) -> tuple[float, float]:
@@ -98,8 +94,9 @@ def latlon_to_xy(p: GeoPoint, ref: GeoPoint) -> tuple[float, float]:
     return x, y
 
 
-def xy_to_latlon(x: float, y: float, ref: GeoPoint) -> tuple[float, float]:
-    """Inverse of :func:`latlon_to_xy` around the same reference point."""
+def xy_to_latlon(x, y, ref: GeoPoint):
+    """Inverse of :func:`latlon_to_xy` around the same reference point, on
+    floats or arrays."""
     lat = ref.lat + y / M_PER_DEG
     lon = ref.lon + x / (M_PER_DEG * math.cos(math.radians(ref.lat)))
     return lat, lon
@@ -112,30 +109,20 @@ def parse_trace(rows: Iterable[Mapping[str, str]]) -> FlightTrace:
     the offending line number on malformed values or non-monotone timestamps.
     """
     origin = None
-    points: list[Waypoint] = []
-    last_t = None
+    t, x, y, z = cols = ([], [], [], [])
     for lineno, row in enumerate(rows, start=2):  # line 1 is the header
         try:
-            p = GeoPoint(
-                t=float(row["t_s"]),
-                lat=float(row["lat_deg"]),
-                lon=float(row["lon_deg"]),
-                alt=float(row["alt_m"]),
-            )
+            p = GeoPoint(*(float(row[name]) for name in TRACE_CSV_HEADER))
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceParseError(f"line {lineno}: {exc}") from exc
-        if last_t is not None and p.t <= last_t:
-            raise TraceParseError(
-                f"line {lineno}: timestamp {p.t} not after previous {last_t}"
-            )
-        last_t = p.t
-        if origin is None:
-            origin = p
-        x, y = latlon_to_xy(p, origin)
-        points.append(Waypoint(t=p.t, x=x, y=y, z=p.alt))
-    if origin is None or len(points) < 2:
+        if t and p.t <= t[-1]:
+            raise TraceParseError(f"line {lineno}: timestamp {p.t} not after previous {t[-1]}")
+        origin = origin or p
+        for col, value in zip(cols, (p.t, *latlon_to_xy(p, origin), p.alt)):
+            col.append(value)
+    if len(t) < 2:
         raise TraceParseError("trace needs at least 2 rows")
-    return FlightTrace(origin=origin, points=tuple(points))
+    return FlightTrace(origin, t, x, y, z)
 
 
 def read_trace_csv(path) -> FlightTrace:
@@ -147,17 +134,18 @@ def read_trace_csv(path) -> FlightTrace:
             raise TraceParseError(
                 f"expected header {','.join(TRACE_CSV_HEADER)}, got {reader.fieldnames}"
             )
+        reader.fieldnames = TRACE_CSV_HEADER  # rows keyed by the names stripped of padding
         return parse_trace(reader)
 
 
 def write_trace_csv(trace: FlightTrace, path) -> None:
-    """Emit the trace in the geodetic CSV format, inverting the projection."""
+    """Emit the trace in the geodetic CSV format, inverting the projection,
+    as ``csv.writer`` writes repr floats."""
+    lat, lon = xy_to_latlon(trace.x, trace.y, trace.origin)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_CSV_HEADER)
-        for p in trace.points:
-            lat, lon = xy_to_latlon(p.x, p.y, trace.origin)
-            writer.writerow([repr(p.t), repr(lat), repr(lon), repr(p.z)])
+        fh.write(",".join(TRACE_CSV_HEADER) + "\r\n")
+        fh.write("".join(map("{},{},{},{}\r\n".format, trace.t.tolist(), lat.tolist(),
+                             lon.tolist(), trace.z.tolist())))
 
 
 def decimate(trace: FlightTrace, min_spacing: float) -> FlightTrace:
@@ -167,14 +155,13 @@ def decimate(trace: FlightTrace, min_spacing: float) -> FlightTrace:
     """
     if min_spacing <= 0:
         raise ValueError("min_spacing must be positive")
-    kept = [trace.points[0]]
-    for p in trace.points[1:-1]:
-        if p.t - kept[-1].t >= min_spacing:
-            kept.append(p)
-    last = trace.points[-1]
-    if kept[-1].t != last.t:
-        kept.append(last)
-    return FlightTrace(origin=trace.origin, points=tuple(kept))
+    t = trace.t.tolist()
+    kept = [0]
+    for i in range(1, len(t) - 1):
+        if t[i] - t[kept[-1]] >= min_spacing:
+            kept.append(i)
+    kept.append(len(t) - 1)
+    return FlightTrace(trace.origin, *(c[kept] for c in (trace.t, trace.x, trace.y, trace.z)))
 
 
 class TrajectorySampler:
@@ -185,15 +172,12 @@ class TrajectorySampler:
     """
 
     def __init__(self, trace: FlightTrace):
-        pts = trace.points
-        rows = [(pts[0].t, pts[0].x, pts[0].y, pts[0].z, 0.0, 0.0, 0.0, pts[0].t)]
-        for a, b in zip(pts, pts[1:]):
-            inv_dt = 1.0 / (b.t - a.t)
-            rows.append((a.t, a.x, a.y, a.z, (b.x - a.x) * inv_dt, (b.y - a.y) * inv_dt,
-                         (b.z - a.z) * inv_dt, b.t))
-        rows.append((pts[-1].t, pts[-1].x, pts[-1].y, pts[-1].z, 0.0, 0.0, 0.0, math.inf))
-        self._rows = tuple(rows)
-        self._t = np.array([p.t for p in pts])  # row k + 1 begins at waypoint k
+        t, x, y, z = (c.tolist() for c in (trace.t, trace.x, trace.y, trace.z))
+        rest = (0.0, 0.0, 0.0)
+        self._rows = ((t[0], x[0], y[0], z[0], *rest, t[0]),
+                      *zip(t, x, y, z, *trace.v.tolist(), t[1:]),
+                      (t[-1], x[-1], y[-1], z[-1], *rest, math.inf))
+        self._t = trace.t  # row k + 1 begins at waypoint k
 
     def track(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(position, velocity) at non-decreasing times ``t``, each shaped (3, len(t)).

@@ -24,9 +24,7 @@ GAIN_FLOOR_LINEAR = 1e-12  # keeps orthogonal-beam gains finite in dB
 
 def interp_positions(trace, t) -> np.ndarray:
     """Positions at times ``t``, shaped (3, len(t))."""
-    times = [p.t for p in trace.points]
-    return np.array([np.interp(t, times, [getattr(p, axis) for p in trace.points])
-                     for axis in "xyz"])
+    return np.array([np.interp(t, trace.t, col) for col in (trace.x, trace.y, trace.z)])
 
 
 @dataclass(frozen=True)

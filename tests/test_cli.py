@@ -23,7 +23,7 @@ def test_synth_trace_writes_csv(tmp_path, capsys):
     path = tmp_path / "trace_overwatch_orbit.csv"
     assert path.exists()
     trace = read_trace_csv(path)
-    assert len(trace.points) == 31
+    assert len(trace.t) == 31
 
 
 def test_simulate_from_trace_file(tmp_path, capsys):
@@ -40,6 +40,18 @@ def test_simulate_from_trace_file(tmp_path, capsys):
     assert "throughput" in out
     assert (tmp_path / "run" / "trace_perimeter_patrol_packets.csv").exists()
     assert (tmp_path / "run" / "trace_perimeter_patrol_snr.csv").exists()
+
+
+def test_simulate_from_padded_header_trace(tmp_path, capsys):
+    main(["synth-trace", "--mission", "overwatch-orbit", "--duration-s", "5",
+          "--out", str(tmp_path)])
+    rows = (tmp_path / "trace_overwatch_orbit.csv").read_text().splitlines(keepends=True)[1:]
+    padded = tmp_path / "padded.csv"
+    padded.write_text(", ".join(TRACE_CSV_HEADER) + "\n" + "".join(rows))
+    rc = main(["simulate", "--trace", str(padded), "--decimate-s", "0", "--window-s", "0.1",
+               "--out", str(tmp_path / "run")])
+    assert rc == 0, capsys.readouterr().err
+    assert (tmp_path / "run" / "padded_snr.csv").exists()
 
 
 def test_simulate_from_mission(tmp_path, capsys):

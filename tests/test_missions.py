@@ -35,19 +35,21 @@ class TestSynthTrace:
     def test_trace_invariants_hold(self, kind):
         arch = MissionArchetype(kind=kind, duration=90.0)
         trace = synth_trace(arch, seed=3)
-        times = [p.t for p in trace.points]
+        times = trace.t.tolist()
         assert len(times) >= 2
         assert all(b > a for a, b in zip(times, times[1:]))
-        assert all(p.z == arch.altitude for p in trace.points)
+        assert all(z == arch.altitude for z in trace.z.tolist())
 
     @pytest.mark.parametrize("kind", MISSION_KINDS)
     def test_speed_within_envelope(self, kind):
         arch = MissionArchetype(kind=kind, duration=60.0, speed=5.0)
         trace = synth_trace(arch, seed=4)
-        for a, b in zip(trace.points, trace.points[1:]):
-            d = math.dist((a.x, a.y, a.z), (b.x, b.y, b.z))
+        t = trace.t.tolist()
+        xyz = np.array([trace.x, trace.y, trace.z]).T.tolist()
+        for i in range(len(t) - 1):
+            d = math.dist(xyz[i], xyz[i + 1])
             # Straight-line waypoint spacing never exceeds the flight speed.
-            assert d <= arch.speed * (b.t - a.t) + 1e-9
+            assert d <= arch.speed * (t[i + 1] - t[i]) + 1e-9
 
     def test_orbit_geometry_and_period(self):
         radius = 100.0
@@ -56,10 +58,10 @@ class TestSynthTrace:
         )
         trace = synth_trace(arch, seed=0)
         omega = arch.speed / radius
-        for i, p in enumerate(trace.points[:50]):
-            assert math.hypot(p.x, p.y) == pytest.approx(radius, abs=1e-9)
-            assert p.x == pytest.approx(radius * math.cos(omega * i), abs=1e-9)
-            assert p.y == pytest.approx(radius * math.sin(omega * i), abs=1e-9)
+        for i, (x, y) in enumerate(zip(trace.x[:50].tolist(), trace.y[:50].tolist())):
+            assert math.hypot(x, y) == pytest.approx(radius, abs=1e-9)
+            assert x == pytest.approx(radius * math.cos(omega * i), abs=1e-9)
+            assert y == pytest.approx(radius * math.sin(omega * i), abs=1e-9)
         # One lap takes 2 pi r / v seconds.
         period = 2 * math.pi * radius / arch.speed
         assert period == pytest.approx(125.66370614359172, abs=1e-9)
@@ -69,31 +71,34 @@ class TestSynthTrace:
     def test_zero_duration_degenerates_to_two_points(self):
         arch = MissionArchetype(kind="target_follow", duration=0.0)
         trace = synth_trace(arch, seed=9)
-        assert len(trace.points) == 2
-        assert trace.points[1].t - trace.points[0].t == pytest.approx(1e-3)
-        assert (trace.points[0].x, trace.points[0].y) == (trace.points[1].x, trace.points[1].y)
+        assert len(trace.t) == 2
+        assert trace.t[1] - trace.t[0] == pytest.approx(1e-3)
+        assert (trace.x[0], trace.y[0]) == (trace.x[1], trace.y[1])
 
     def test_same_seed_identical(self):
         arch = MissionArchetype(kind="target_follow", duration=120.0)
-        assert synth_trace(arch, seed=5) == synth_trace(arch, seed=5)
+        a, b = synth_trace(arch, seed=5), synth_trace(arch, seed=5)
+        assert a.origin == b.origin
+        assert all(np.array_equal(getattr(a, c), getattr(b, c)) for c in "txyz")
 
     def test_target_follow_seed_matters(self):
         arch = MissionArchetype(kind="target_follow", duration=120.0)
-        assert synth_trace(arch, seed=5) != synth_trace(arch, seed=6)
+        a, b = synth_trace(arch, seed=5), synth_trace(arch, seed=6)
+        assert not all(np.array_equal(getattr(a, c), getattr(b, c)) for c in "txyz")
 
     def test_target_follow_stays_in_area(self):
         arch = MissionArchetype(kind="target_follow", area=40_000.0, duration=600.0)
         trace = synth_trace(arch, seed=8)
         half = math.sqrt(arch.area) / 2
-        for p in trace.points:
-            assert -half - 1e-9 <= p.x <= half + 1e-9
-            assert -half - 1e-9 <= p.y <= half + 1e-9
+        for x, y in zip(trace.x.tolist(), trace.y.tolist()):
+            assert -half - 1e-9 <= x <= half + 1e-9
+            assert -half - 1e-9 <= y <= half + 1e-9
 
     def test_lawnmower_covers_both_edges(self):
         arch = MissionArchetype(kind="search_lawnmower", duration=600.0, speed=10.0)
         trace = synth_trace(arch, seed=0)
         half = math.sqrt(arch.area) / 2
-        xs = [p.x for p in trace.points]
+        xs = trace.x.tolist()
         assert min(xs) == pytest.approx(-half, abs=1.0)
         assert max(xs) >= half - math.sqrt(arch.area) / 8  # reaches the far lanes
 
@@ -101,8 +106,8 @@ class TestSynthTrace:
         arch = MissionArchetype(kind="perimeter_patrol", duration=400.0, speed=5.0)
         trace = synth_trace(arch, seed=0)
         half = math.sqrt(arch.area) / 2
-        for p in trace.points:
+        for x, y in zip(trace.x.tolist(), trace.y.tolist()):
             on_edge = (
-                abs(abs(p.x) - half) < 1e-6 or abs(abs(p.y) - half) < 1e-6
+                abs(abs(x) - half) < 1e-6 or abs(abs(y) - half) < 1e-6
             )
             assert on_edge

@@ -21,7 +21,7 @@ from uavlink.beamforming import DEFAULT_UPDATE_PERIOD, ArrayConfig, array_basis
 from uavlink.campaign import build_scenario
 from uavlink.channel import ShadowingField, fspl_db, noise_floor_dbm
 from uavlink.missions import MissionArchetype, synth_trace
-from uavlink.mobility import FlightTrace, GeoPoint, Waypoint
+from uavlink.mobility import FlightTrace, GeoPoint
 from uavlink.phy import BLER_MAX, Outcome, bler, lte_profile, mmwave_profile
 from uavlink.simulation import (
     DEFAULT_BUFFER_LIMIT,
@@ -162,7 +162,7 @@ class TestGoodputConvergence:
         # so the stop-and-wait HARQ chain has a closed-form goodput. Park the
         # SNR 0.3 dB above a mid-table threshold for a meaningful error rate.
         from uavlink.channel import fspl_db
-        from uavlink.mobility import FlightTrace, GeoPoint, Waypoint
+        from uavlink.mobility import FlightTrace, GeoPoint
         from uavlink.phy import bler, mmwave_profile, tb_bits
 
         prof = mmwave_profile()
@@ -171,10 +171,8 @@ class TestGoodputConvergence:
         # snr = tx_power - fspl(d) - noise_floor with 0 dB gains
         fspl_needed = prof.link.tx_power + 79.0 - target_snr
         d = 10 ** ((fspl_needed - 32.4 - 20 * math.log10(28.0)) / 20.0)
-        hover = FlightTrace(
-            origin=GeoPoint(0.0, 30.0, 0.0, 25.0),
-            points=(Waypoint(0.0, d, 0.0, 25.0), Waypoint(100.0, d, 0.0, 25.0)),
-        )
+        hover = FlightTrace(GeoPoint(0.0, 30.0, 0.0, 25.0), t=(0.0, 100.0), x=(d, d),
+                            y=(0.0, 0.0), z=(25.0, 25.0))
         cfg = ScenarioConfig(
             trace=hover,
             profile=prof,
@@ -206,10 +204,10 @@ class TestChannelPass:
         # time: np.interp positions, the brute-force best pair at each epoch
         # start, inner-product beam gains, FSPL and the per-point shadowing
         # recursion.
-        trace = FlightTrace(origin=GeoPoint(0.0, 30.0, 0.0, 30.0), points=(
-            Waypoint(0.0, 0.0, 0.0, 30.0), Waypoint(0.25, 6.0, 1.0, 31.0),
-            Waypoint(0.6, 6.5, 9.0, 30.0), Waypoint(0.61, 6.8, 9.1, 30.0),
-            Waypoint(1.05, -4.0, 3.0, 32.0), Waypoint(3.0, -4.0, 3.0, 32.0),
+        trace = FlightTrace(GeoPoint(0.0, 30.0, 0.0, 30.0), *zip(
+            (0.0, 0.0, 0.0, 30.0), (0.25, 6.0, 1.0, 31.0),
+            (0.6, 6.5, 9.0, 30.0), (0.61, 6.8, 9.1, 30.0),
+            (1.05, -4.0, 3.0, 32.0), (3.0, -4.0, 3.0, 32.0),
         ))
         cfg = ScenarioConfig(trace=trace, profile=mmwave_profile(), bs_array=ArrayConfig(4, 4),
                              uav_array=ArrayConfig(2, 2), source_rate=10e6,
