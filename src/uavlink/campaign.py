@@ -4,6 +4,7 @@ BS placements, with report emission for the whole grid."""
 from __future__ import annotations
 
 import csv
+import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -75,6 +76,11 @@ class RunMatrix:
             for p in axis:
                 if p not in table:
                     raise ValueError(f"unknown {what} {p!r}, expected {' or '.join(table)}")
+        for combo in self.antenna_combos:  # checked even when every profile is LTE (1x1)
+            parse_antenna_combo(combo)
+        for rate in self.source_rates:
+            if not (math.isfinite(rate) and rate > 0):
+                raise ValueError(f"source rate must be positive and finite, got {rate}")
         check_sim_window(self.sim_window)
 
 

@@ -70,8 +70,9 @@ class FlightTrace:
         dt = np.diff(t)
         if (dt <= 0.0).any():
             raise ValueError(f"timestamps not strictly increasing at t={t[1:][dt <= 0.0][0]}")
+        v = np.diff(cols[1:])
         with np.errstate(over="ignore", invalid="ignore"):  # a subnormal step overflows
-            v = np.diff(cols[1:]) * (1.0 / dt)
+            v *= 1.0 / dt
         bad = ~np.isfinite(v).all(axis=0)
         if bad.any():
             raise ValueError(f"non-finite velocity in the step ending at t={t[1:][bad][0]}")

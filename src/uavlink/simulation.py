@@ -84,7 +84,7 @@ class ScenarioConfig:
             raise ValueError(f"source_rate must be positive and finite, got {self.source_rate}")
         if self.payload <= 0:
             raise ValueError("payload must be positive")
-        if not math.isfinite(self.payload * 8 / self.source_rate):
+        if not math.isfinite(self.interarrival):
             raise ValueError(f"source_rate {self.source_rate} is too small: "
                              "the packet interarrival time overflows")
         if self.header_overhead < 0:
@@ -92,6 +92,10 @@ class ScenarioConfig:
         check_sim_window(self.sim_window)
         if self.bs_position is None:
             self.bs_position = bs_position_for(self.trace, next(iter(BS_OFFSETS)))
+
+    @property
+    def interarrival(self) -> float:  # s between packets; packet n is sent at n * interarrival
+        return self.payload * 8 / self.source_rate
 
 
 @dataclass
@@ -137,7 +141,7 @@ def _array_sizes(config: ScenarioConfig) -> tuple[int, int, int]:
     """(slots, packet rows, slots per recorded channel sample) of a run; ValueError if
     its arrays, with the temporaries of ``summarize``, exceed physical memory."""
     n_slots = int(round(config.sim_window / config.profile.slot_duration))
-    max_pk = int(config.sim_window / (config.payload * 8 / config.source_rate)) + 2
+    max_pk = int(config.sim_window / config.interarrival) + 2
     record_every = max(1, round(DEFAULT_SNR_SAMPLE_INTERVAL / config.profile.slot_duration))
     packet_bytes = max_pk * (17 + 9)  # t_gen, t_deliver, outcome; summarize's mask and latencies
     # Per-slot SNR; each recorded sample, and summarize's list of its SNR (a float and a pointer).
@@ -264,13 +268,12 @@ def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.n
     snr = np.asarray(snr, dtype=np.float64)
     n_slots = len(snr)
     pkt_bits = _packet_bits(config)
-    interarrival = config.payload * 8 / config.source_rate
+    interarrival = config.interarrival
     buffer_bits = DEFAULT_BUFFER_LIMIT * 8
     wait = round(prof.scheduling_delay / slot)  # a whole number of slots (RatProfile)
 
-    table = prof.mcs_table
-    thresholds = np.array([e.snr_threshold for e in table])
-    caps = np.array([phy.tb_bits(prof, e) // 8 * 8 for e in table] + [0])  # byte-aligned; outage
+    thresholds = np.array([e.snr_threshold for e in prof.mcs_table])
+    caps = np.array([phy.tb_bits(prof, e) // 8 * 8 for e in prof.mcs_table] + [0])  # outage: 0
 
     max_pk = _array_sizes(config)[1]
     t_del_arr = np.full(max_pk, np.nan)
@@ -285,18 +288,13 @@ def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.n
     block, lo, nxt = None, 0, 0  # a failed block, the bits before it and its next attempt's slot
     form = "sparse"
 
-    def first_failure(slots, fails):
-        """Of the first attempts in ``slots``, drawing from draws[di] (``fails``: below p_err
-        + 1e-12), the index m of the first to fail, and the count of slots i .. slots[m]."""
-        m = 0
-        while m < len(slots):
-            m += int(fails[m:].argmax())
-            if not fails[m]:
-                break
-            s, u = slots.item(m), draws.item(di + m)
-            if u < p_err.item(s) - 1e-12 or u < phy.bler(table[mcs.item(s)], snr_c.item(s)):
-                return m, s + 1 - i
-            m += 1
+    def first_failure(slots, p_fail):
+        """Of the first attempts in ``slots``, failing with probabilities ``p_fail`` on
+        draws[di:], the index m of the first to fail and the count of slots i .. slots[m]."""
+        fails = draws[di:di + len(slots)] < p_fail
+        m = int(fails.argmax()) if len(slots) else 0
+        if m < len(slots) and fails[m]:
+            return m, slots.item(m) + 1 - i
         return len(slots), n - i
 
     def packets(k0, k1):
@@ -316,8 +314,8 @@ def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.n
         cum = np.concatenate(([0], np.cumsum(caps[mcs])))  # cum[j]: capacity of slots c0 .. c0+j-1
         live = np.append(np.flatnonzero(mcs >= 0), n)
         live_before = np.concatenate(([0], np.cumsum(mcs >= 0)))  # live[live_before[j]] >= j
-        p_err = phy.bler_estimate(thresholds[mcs], snr_c)  # of a first attempt in each slot
-        may_fail = p_err[live[:-1]] + 1e-12
+        p_err = phy.bler(thresholds[mcs], snr_c)  # of a first attempt in each slot
+        p_live = p_err[live[:-1]]
         b = len(k_tab)  # the row of slot c0
         k_tab = np.concatenate((k_tab, np.empty(n, dtype=np.int64)))
         g_tab = np.concatenate((g_tab, packets_generated(np.arange(c0, c0 + n), slot,
@@ -332,8 +330,8 @@ def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.n
             if block is not None:  # its next attempt goes in the first live slot r from nxt on
                 r = live.item(live_before.item(min(max(nxt - c0, 0), n)))
                 if r < n:
-                    result, nxt = harq_step(block, phy.bler(table[block.mcs], snr_c.item(r)),
-                                            draws.item(di), harq_rtt=prof.harq_rtt,
+                    p_retx = phy.bler(thresholds.item(block.mcs), snr_c.item(r))
+                    result, nxt = harq_step(block, p_retx, draws.item(di), harq_rtt=prof.harq_rtt,
                                             max_harq_tx=prof.max_harq_tx, current_slot=c0 + r)
                     di += 1
                     if result is Outcome.RETRANSMIT:
@@ -354,7 +352,7 @@ def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.n
             if form == "saturated":  # a block in every live slot
                 a = live_before.item(i)
                 slots = live[a:-1]
-                m, w = first_failure(slots, draws[di:di + len(slots)] < may_fail[a:])
+                m, w = first_failure(slots, p_live[a:])
                 gen = g_tab[row:row + w]
                 np.add(cum[i:i + w + 1], sent - cum[i], out=done[i:i + w + 1])
                 k = (buffer_bits + done[i:i + w]) // pkt_bits - gen
@@ -370,7 +368,7 @@ def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.n
                 np.minimum.accumulate(d, out=d)
                 np.add(np.minimum(d, sent - cum[i], out=d), cum[i + 1:], out=d)
                 slots = np.flatnonzero(d > done[i:n]) + i
-                m, w = first_failure(slots, draws[di:di + len(slots)] < p_err[slots] + 1e-12)
+                m, w = first_failure(slots, p_err[slots])
                 bad = k_tab[row:row + w] * pkt_bits - done[i:i + w] > buffer_bits
             stop = int(bad.argmax())
             stop = stop if bad[stop] else w

@@ -114,7 +114,7 @@ def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.n
                 pending_next = s
 
         if pending is not None and s >= pending_next:
-            p_err = phy.bler(table[pending.mcs], snr_s)
+            p_err = phy.bler(thresholds[pending.mcs], snr_s)
             result, when = harq_step(pending, p_err, rng_draw(), harq_rtt=prof.harq_rtt,
                                      max_harq_tx=prof.max_harq_tx, current_slot=s)
             if result is Outcome.DELIVERED:

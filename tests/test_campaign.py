@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from uavlink import campaign
 from uavlink.campaign import (
     ReportRow,
     RunMatrix,
@@ -13,7 +14,7 @@ from uavlink.campaign import (
     write_report_csv,
 )
 from uavlink.missions import MissionArchetype, synth_trace
-from uavlink.simulation import bs_position_for
+from uavlink.simulation import bs_position_for, run
 
 MISSIONS = [MissionArchetype(k, duration=30.0) for k in (
     "overwatch_orbit",
@@ -70,6 +71,18 @@ class TestMatrixShape:
         with pytest.raises(ValueError, match="unknown profile 'wifi', expected mmwave or lte"):
             small_matrix(profiles=["mmwave", "wifi"])
 
+    @pytest.mark.parametrize("profiles", [["mmwave", "lte"], ["lte"]])
+    @pytest.mark.parametrize("combo", ["bogus", "0x4"])
+    def test_bad_antenna_combo_rejected(self, profiles, combo):
+        # Refused even when every profile is LTE, whose cells run 1x1 and skip the axis.
+        with pytest.raises(ValueError, match=repr(combo)):
+            small_matrix(profiles=profiles, antenna_combos=["64x16", combo])
+
+    @pytest.mark.parametrize("rate", [-5e6, 0.0, float("nan"), float("inf")])
+    def test_bad_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="source rate must be positive and finite"):
+            small_matrix(source_rates=[10e6, rate])
+
 
 class TestBsPlacement:
     def test_on_premise_is_centroid(self):
@@ -102,16 +115,22 @@ class TestRunMatrix:
         assert len(lte) == 1
         assert lte[0].antennas == "1x1"
 
-    def test_cell_failure_does_not_abort_matrix(self, tmp_path):
+    def test_cell_failure_does_not_abort_matrix(self, tmp_path, monkeypatch):
+        def run_but_fail_16x4(config):
+            if config.bs_array.size == 16:
+                raise ValueError("cell fails at run time")
+            return run(config)
+
+        monkeypatch.setattr(campaign, "run", run_but_fail_16x4)
         matrix = small_matrix(
             missions=MISSIONS[:1],
             profiles=["mmwave"],
-            antenna_combos=["64x16", "0x4"],  # second combo is invalid
+            antenna_combos=["64x16", "16x4"],
         )
         rows, errors = run_matrix(matrix, tmp_path)
-        assert len(rows) == 1
+        assert [r.antennas for r in rows] == ["64x16"]
         assert len(errors) == 1
-        assert "0x4" in errors[0]
+        assert "16x4" in errors[0] and "cell fails at run time" in errors[0]
         assert (tmp_path / "summary.csv").exists()
 
     def test_order_independent_outputs(self, tmp_path):

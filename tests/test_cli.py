@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from uavlink import campaign
 from uavlink.campaign import REPORT_CSV_HEADER
 from uavlink.cli import main
 from uavlink.mobility import TRACE_CSV_HEADER, read_trace_csv
@@ -199,9 +200,13 @@ def test_report_on_foreign_summary_exits_one(tmp_path, capsys, content, message)
     assert message in capsys.readouterr().err
 
 
-def test_matrix_reports_every_failed_cell(tmp_path, capsys):
+def test_matrix_reports_every_failed_cell(tmp_path, capsys, monkeypatch):
+    def fail(config):
+        raise ValueError("cell fails at run time")
+
+    monkeypatch.setattr(campaign, "run", fail)
     rc = main([
-        "matrix", "--missions", "overwatch_orbit", "--profile", "mmwave", "--antennas", "0x4",
+        "matrix", "--missions", "overwatch_orbit", "--profile", "mmwave", "--antennas", "64x16",
         "--rate-mbps", "2,3", "--window-s", "0.1", "--out", str(tmp_path),
     ])
     assert rc == 1
@@ -209,6 +214,23 @@ def test_matrix_reports_every_failed_cell(tmp_path, capsys):
     assert err.count("cell failed:") == 2
     assert "nothing to report" not in err
     assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("profile, flag, value, message", [
+    ("mmwave,lte", "--antennas", "64x16,bogus", "bad antenna combination 'bogus'"),
+    ("lte", "--antennas", "bogus", "bad antenna combination 'bogus'"),
+    ("mmwave,lte", "--rate-mbps", "10,-5", "source rate must be positive and finite"),
+])
+def test_matrix_refuses_bad_axis_before_any_cell(tmp_path, capsys, profile, flag, value,
+                                                 message):
+    out = tmp_path / "out"
+    rc = main(["matrix", "--missions", "overwatch_orbit", "--profile", profile, flag, value,
+               "--window-s", "0.1", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "cell failed" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("window", ["nan", "inf", "-1"])

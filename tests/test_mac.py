@@ -92,7 +92,7 @@ class TestAgainstOracle:
         snr = np.full(8000, OUTAGE)
         snr[0::12] = THRESHOLDS[-1]
         snr[4::12] = snr[8::12] = THRESHOLDS[0] + 0.1
-        assert bler(prof.mcs_table[-1], THRESHOLDS[0] + 0.1) == BLER_MAX
+        assert bler(prof.mcs_table[-1].snr_threshold, THRESHOLDS[0] + 0.1) == BLER_MAX
         assert tb_bits(prof, prof.mcs_table[-1]) % ((1500 + 28) * 8)
         _, _, outcome = assert_matches_oracle(config("mmwave", len(snr), 1000e6), snr, seed=3)
         assert (outcome == DROPPED_HARQ).sum() > 100
@@ -165,7 +165,7 @@ CLEAR = TOP + 40.0  # BLER_MIN at the top MCS
 
 def failing_first_draw_seed():
     """A HARQ seed whose first uniform fails a top-MCS block sent on its threshold."""
-    p_err = bler(mmwave_profile().mcs_table[-1], TOP)
+    p_err = bler(mmwave_profile().mcs_table[-1].snr_threshold, TOP)
     return next(seed for seed in range(1000) if random.Random(seed).random() < p_err)
 
 

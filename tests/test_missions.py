@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from uavlink.missions import (
     MISSION_KINDS,
+    WAYPOINT_BYTES,
     MissionArchetype,
     archetype_by_name,
     synth_trace,
@@ -67,6 +69,22 @@ class TestSynthTrace:
         assert period == pytest.approx(125.66370614359172, abs=1e-9)
         start, after_lap = TrajectorySampler(trace).track(np.array([0.0, period]))[0].T
         assert math.dist(start, after_lap) < 0.2  # chord interpolation slack
+
+    @pytest.mark.parametrize("kind", MISSION_KINDS)
+    def test_peak_memory_per_waypoint_within_budget(self, kind):
+        # WAYPOINT_BYTES sizes the refusal of a trace larger than memory, so it
+        # must cover the synthesis's peak, not just the trace it keeps; and no
+        # per-waypoint Python objects (a list of (x, y) tuples) push that peak
+        # to three times the trace.
+        arch = MissionArchetype(kind=kind, duration=50_000.0)
+        tracemalloc.start()
+        try:
+            trace = synth_trace(arch, seed=2)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / len(trace.t) <= WAYPOINT_BYTES
+        assert peak <= 2 * kept
 
     def test_zero_duration_degenerates_to_two_points(self):
         arch = MissionArchetype(kind="target_follow", duration=0.0)

@@ -115,23 +115,35 @@ class TestTbBits:
 class TestBler:
     def test_anchored_at_threshold(self):
         for e in (TABLE[0], TABLE[10], TABLE[28]):
-            assert bler(e, e.snr_threshold) == pytest.approx(0.1, abs=0.01)
+            assert bler(e.snr_threshold, e.snr_threshold) == pytest.approx(0.1, abs=0.01)
 
     def test_clamped_high_snr(self):
         e = TABLE[10]
-        assert bler(e, e.snr_threshold + 10.0) < 1e-5
-        assert bler(e, e.snr_threshold + 10.0) >= BLER_MIN
+        assert bler(e.snr_threshold, e.snr_threshold + 10.0) < 1e-5
+        assert bler(e.snr_threshold, e.snr_threshold + 10.0) >= BLER_MIN
 
     def test_clamped_low_snr(self):
         e = TABLE[10]
-        assert bler(e, e.snr_threshold - 10.0) > 0.999
-        assert bler(e, e.snr_threshold - 10.0) <= BLER_MAX
+        assert bler(e.snr_threshold, e.snr_threshold - 10.0) > 0.999
+        assert bler(e.snr_threshold, e.snr_threshold - 10.0) <= BLER_MAX
 
     def test_monotone_decreasing(self):
         e = TABLE[5]
         snrs = [e.snr_threshold + d for d in (-5, -2, -1, 0, 1, 2, 5)]
-        vals = [bler(e, s) for s in snrs]
+        vals = [bler(e.snr_threshold, s) for s in snrs]
         assert vals == sorted(vals, reverse=True)
+
+    def test_floats_match_arrays_bit_for_bit(self):
+        # SNRs from x = -70 to +70 around every midpoint (x = 2 * (snr - midpoint)):
+        # past both +-60 limits and across both clamps, with a step of 0.05 in x.
+        thr = np.repeat(THRESHOLDS, 2801)
+        snr = thr - 1.1 + np.tile(np.linspace(-35.0, 35.0, 2801), len(THRESHOLDS))
+        arr = bler(thr, snr)
+        assert isinstance(arr, np.ndarray)
+        floats = [bler(t, s) for t, s in zip(thr.tolist(), snr.tolist())]
+        assert all(type(v) is float for v in floats)
+        assert np.array_equal(arr.view(np.int64), np.array(floats).view(np.int64))
+        assert arr.min() == BLER_MIN and arr.max() == BLER_MAX
 
 
 class TestHarqStep:

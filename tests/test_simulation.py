@@ -187,7 +187,7 @@ class TestGoodputConvergence:
         log = run(cfg)
         snr = log.snr_series[0].snr
         assert snr == pytest.approx(target_snr, abs=1e-9)
-        p = bler(entry, snr)
+        p = bler(entry.snr_threshold, snr)
         cap = tb_bits(prof, entry) // 8 * 8
         # Attempt counts 1/2/3 consume 1/5/9 slots (4-slot HARQ round trips);
         # a block survives unless all three attempts fail.
@@ -301,7 +301,7 @@ class TestMacPass:
         snr = np.full(8000, self.THRESHOLDS[0] - 10.0)
         snr[0::12] = self.THRESHOLDS[-1]
         snr[4::12] = snr[8::12] = self.THRESHOLDS[0] + 0.1
-        assert bler(prof.mcs_table[-1], self.THRESHOLDS[0] + 0.1) == BLER_MAX
+        assert bler(prof.mcs_table[-1].snr_threshold, self.THRESHOLDS[0] + 0.1) == BLER_MAX
         attempts = []
         harq_step = simulation.harq_step
 
