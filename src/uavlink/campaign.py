@@ -21,6 +21,7 @@ from .simulation import (
     ScenarioConfig,
     bs_position_for,
     check_sim_window,
+    packet_interarrival,
     run,
     summarize,
     write_packet_log,
@@ -81,6 +82,7 @@ class RunMatrix:
         for rate in self.source_rates:
             if not (math.isfinite(rate) and rate > 0):
                 raise ValueError(f"source rate must be positive and finite, got {rate}")
+            packet_interarrival(rate)  # every cell sends DEFAULT_PAYLOAD bytes a packet
         check_sim_window(self.sim_window)
 
 

@@ -63,6 +63,14 @@ def check_sim_window(sim_window: float) -> None:
         raise ValueError(f"sim_window must be non-negative and finite, got {sim_window}")
 
 
+def packet_interarrival(source_rate: float, payload: int = DEFAULT_PAYLOAD) -> float:
+    """s between packets of ``payload`` bytes at ``source_rate`` b/s; ValueError on overflow."""
+    if not math.isfinite(interarrival := payload * 8 / source_rate):
+        raise ValueError(f"source_rate {source_rate} is too small: "
+                         "the packet interarrival time overflows")
+    return interarrival
+
+
 @dataclass
 class ScenarioConfig:
     """Everything one simulation run needs; identical configs replay identically."""
@@ -84,9 +92,7 @@ class ScenarioConfig:
             raise ValueError(f"source_rate must be positive and finite, got {self.source_rate}")
         if self.payload <= 0:
             raise ValueError("payload must be positive")
-        if not math.isfinite(self.interarrival):
-            raise ValueError(f"source_rate {self.source_rate} is too small: "
-                             "the packet interarrival time overflows")
+        packet_interarrival(self.source_rate, self.payload)
         if self.header_overhead < 0:
             raise ValueError("header_overhead must be non-negative")
         check_sim_window(self.sim_window)
@@ -95,7 +101,7 @@ class ScenarioConfig:
 
     @property
     def interarrival(self) -> float:  # s between packets; packet n is sent at n * interarrival
-        return self.payload * 8 / self.source_rate
+        return packet_interarrival(self.source_rate, self.payload)
 
 
 @dataclass
@@ -447,20 +453,71 @@ def summarize(log: MetricsLog) -> Summary:
     )
 
 
+_POW10 = (10 ** np.arange(19)).astype(np.float64)  # exact doubles: 5**18 < 2**53
+
+
+def _digits(out: np.ndarray, q: np.ndarray, keep=lambda j, q: (q > 0) | (j == -1)) -> None:
+    """Digits of ints ``q`` >= 0, right-aligned in ``out``; column j < 0 where ``keep(j, rest)``."""
+    for j in range(-1, -out.shape[1] - 1, -1):
+        nq = q // 10
+        out[:, j] = (q - nq * 10 + 48) * keep(j, q)
+        q = nq
+
+
+def _float_field(x: np.ndarray):
+    """``(width, put)``: ``put(out)`` writes ``repr`` of each float of ``x`` into the zeroed
+    byte matrix ``out`` (a row each, ``width`` columns; a 0 byte is no byte). 0 and each ``x``
+    in [1e-4, 1e15) with ``rint(x * 10**k) / 10**k == x`` for the k of 15 digits are written
+    here, exactly (the argument is in README.md); ``repr`` writes the others."""
+    ok = ~np.signbit(x) & ((x == 0) | ((x >= 1e-4) & (x < 1e15)))
+    y = np.where(ok, x, 0.0)
+    k = (14 - np.floor(np.log10(np.where(y > 0, y, 1.0)))).clip(0, 18).astype(np.intp)
+    k = (k + (y * _POW10[k] < 1e14) - (y * _POW10[k] >= 1e15)).clip(0, 18)  # log10 rounding
+    m = np.rint(y * _POW10[k])
+    ok &= (m < 1e15) & (m / _POW10[k] == y)
+    m, k = np.where(ok, m, 0.0), np.where(ok, k, 0)
+    for s in (8, 4, 2, 1):  # strip trailing zeros, keeping k >= 0; m / 10**s is exact
+        q = m / _POW10[s]  # if whole, and more than an ulp from a whole number if not
+        strip = (k >= s) & (q == np.floor(q))
+        m, k = np.where(strip, q, m), k - s * strip
+    whole = np.floor(m / _POW10[k])  # exact: the fraction is at least 10**-k from 1
+    n_int, n_frac = len(str(int(whole.max()))), max(int(k.max()), 1)
+    frac = (m - whole * _POW10[k]).astype(np.int64) * _POW10[n_frac - k].astype(np.int64)
+    n_kept = np.maximum(k, ok)  # fraction digits: k, or the "0" of a whole number
+    slow = ~ok & ~np.isnan(x)
+    text = np.array([repr(v) for v in x[slow].tolist()], "S")
+
+    def put(out: np.ndarray) -> None:
+        _digits(out[:, :n_int], whole.astype(np.int64), lambda j, q: ok & ((q > 0) | (j == -1)))
+        out[:, n_int] = ord(".") * ok
+        _digits(out[:, n_int + 1:n_int + 1 + n_frac], frac, lambda j, q: n_kept > n_frac + j)
+        out[slow, :text.itemsize] = text.view(np.uint8).reshape(-1, text.itemsize)
+
+    return max(n_int + 1 + n_frac, text.itemsize), put
+
+
 def write_packet_log(log: MetricsLog, path) -> None:
-    """The packet columns as ``csv.writer`` writes them: repr floats, NaN as ""."""
-    tails = [f",{log.packet_bits},{name}\r\n" for name in OUTCOME_NAMES]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(PACKET_CSV_HEADER) + "\r\n")
+    """The packet columns as ``csv.writer`` writes them: repr floats, NaN as "". A chunk is a
+    byte matrix, a row per line and a field in columns of its own, its 0 bytes dropped."""
+    tails = np.array([[f",{log.packet_bits},{o}\r\n"] for o in OUTCOME_NAMES], "S").view(np.uint8)
+    with open(path, "wb") as fh:
+        fh.write((",".join(PACKET_CSV_HEADER) + "\r\n").encode())
         for s0 in range(0, log.n_packets, _WRITE_ROWS):
             rows = slice(s0, s0 + _WRITE_ROWS)
+            seq = np.arange(s0, min(s0 + _WRITE_ROWS, log.n_packets))
+            gen_width, put_gen = _float_field(log.t_gen[rows])
             # A slot delivers at one time, so format each distinct time once.
             t_del, inverse = np.unique(log.t_deliver[rows], return_inverse=True)
-            t_del_text = ["" if math.isnan(v) else repr(v) for v in t_del.tolist()]
-            fh.write("".join(map("{},{},{}{}".format, range(s0, s0 + _WRITE_ROWS),
-                                 log.t_gen[rows].tolist(),
-                                 map(t_del_text.__getitem__, inverse.tolist()),
-                                 map(tails.__getitem__, log.outcome[rows].tolist()))))
+            del_width, put_del = _float_field(t_del)
+            put_del(t_del := np.zeros((len(t_del), del_width), np.uint8))
+            edges = np.cumsum([0, len(str(seq[-1])), 1, gen_width, 1, del_width, tails.shape[1]])
+            mat = np.zeros((len(seq), edges[-1]), np.uint8)
+            _digits(mat[:, :edges[1]], seq)
+            mat[:, edges[1]] = mat[:, edges[3]] = ord(",")
+            put_gen(mat[:, edges[2]:edges[3]])
+            np.take(t_del, inverse, axis=0, out=mat[:, edges[4]:edges[5]], mode="clip")
+            np.take(tails, log.outcome[rows], axis=0, out=mat[:, edges[5]:], mode="clip")
+            fh.write(mat[mat != 0])
 
 
 def write_snr_trace(log: MetricsLog, path) -> None:

@@ -78,9 +78,12 @@ class TestMatrixShape:
         with pytest.raises(ValueError, match=repr(combo)):
             small_matrix(profiles=profiles, antenna_combos=["64x16", combo])
 
-    @pytest.mark.parametrize("rate", [-5e6, 0.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("rate", [-5e6, 0.0, float("nan"), float("inf"), 1e-314])
     def test_bad_rate_rejected(self, rate):
-        with pytest.raises(ValueError, match="source rate must be positive and finite"):
+        # 1e-314 b/s is positive and finite, but a 1500-byte packet's interarrival overflows.
+        message = ("the packet interarrival time overflows" if rate == 1e-314
+                   else "source rate must be positive and finite")
+        with pytest.raises(ValueError, match=message):
             small_matrix(source_rates=[10e6, rate])
 
 

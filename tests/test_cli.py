@@ -220,6 +220,7 @@ def test_matrix_reports_every_failed_cell(tmp_path, capsys, monkeypatch):
     ("mmwave,lte", "--antennas", "64x16,bogus", "bad antenna combination 'bogus'"),
     ("lte", "--antennas", "bogus", "bad antenna combination 'bogus'"),
     ("mmwave,lte", "--rate-mbps", "10,-5", "source rate must be positive and finite"),
+    ("lte", "--rate-mbps", "2,1e-320", "the packet interarrival time overflows"),
 ])
 def test_matrix_refuses_bad_axis_before_any_cell(tmp_path, capsys, profile, flag, value,
                                                  message):

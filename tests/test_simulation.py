@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import math
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -440,8 +441,99 @@ def assert_same_bytes(writer, oracle, log, tmp_path):
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
-# Floats that repr prints in exponent form, and one that needs 17 digits.
-ODD_FLOATS = [1e-05, 5e-324, 1e+16, 0.1 + 0.2, 1.5e-07, 123456789012345680.0]
+# Floats that repr prints in exponent form, one that needs 17 digits, -0.0, and the
+# neighbours of 1e-4 and 1e15, the limits of the writer's own formatter.
+ODD_FLOATS = [1e-05, 5e-324, 1e+16, 0.1 + 0.2, 1.5e-07, 123456789012345680.0, -0.0,
+              math.nextafter(1e-4, 0), 1e-4, math.nextafter(1e-4, 1),
+              math.nextafter(1e15, 0), 1e15, math.nextafter(1e15, math.inf)]
+BOUNDARY_FLOATS = [0.0, -0.0, 1e-4, math.nextafter(1e-4, 0), math.nextafter(1e-4, 1),
+                   math.nextafter(1e15, 0), 1e15, 1e16, 2.0 ** 53, 999999999999999.9, 5e-324]
+
+
+def float_texts(values):
+    """What the packet-log writer writes for each float, and the floats it handed to repr."""
+    fell_back = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "repr", lambda v: fell_back.append(v) or repr(v), raising=False)
+        width, put = simulation._float_field(np.array(values, dtype=np.float64))
+    out = np.zeros((len(values), width), np.uint8)
+    put(out)
+    return [row.tobytes().replace(b"\0", b"").decode() for row in out], fell_back
+
+
+def repr_texts(values):
+    return ["" if math.isnan(v) else repr(v) for v in values]
+
+
+def seventeen_digit_floats(n, seed):
+    """n floats in [0, 10) whose shortest repr has 17 significant digits."""
+    rng, out = np.random.default_rng(seed), []
+    while len(out) < n:
+        for v in (rng.random(n) * 10).tolist():
+            if len(repr(v).replace(".", "").lstrip("0")) == 17:
+                out.append(v)
+    return np.array(out[:n])
+
+
+class TestFloatText:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_any_float_reads_as_repr(self, values):
+        assert float_texts(values)[0] == repr_texts(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 10**15 - 1), st.integers(0, 18)), min_size=1,
+                    max_size=40))
+    def test_decimals_of_up_to_15_digits_need_no_repr(self, decimals):
+        values = [m / 10**k for m, k in decimals]
+        values = [v for v in values if v == 0 or v >= 1e-4] or [0.0]
+        texts, fell_back = float_texts(values)
+        assert texts == repr_texts(values)
+        assert fell_back == []
+
+    def test_boundary_values(self):
+        texts, fell_back = float_texts(BOUNDARY_FLOATS)
+        assert texts == repr_texts(BOUNDARY_FLOATS)
+        # Only 0.0 and 1e-4 are positional in at most 15 digits; -0.0 goes to repr.
+        want = [v for v in BOUNDARY_FLOATS if repr(v) not in ("0.0", "0.0001")]
+        assert [repr(v) for v in fell_back] == [repr(v) for v in want]
+
+
+def gigabit_pattern_log(n, seed=4):
+    """n packets sent every 12 us, of every outcome, each delivered one to two 125 us
+    slots after it was sent, in runs that share a delivery time as the MAC writes them."""
+    outcome = np.random.default_rng(seed).integers(0, len(OUTCOME_NAMES), n)
+    t_gen = np.arange(n) * 1.2e-5
+    t_deliver = np.where(outcome == DELIVERED, np.ceil(t_gen / 125e-6) * 125e-6 + 125e-6,
+                         math.nan)
+    return manual_log(t_gen, t_deliver, outcome, size=12224)
+
+
+def lawnmower_log():
+    trace = synth_trace(MissionArchetype("search_lawnmower", duration=120.0), seed=1)
+    return run(build_scenario(trace, "mmwave", "64x16", 10e6, "on_premise", 7, 10.0))
+
+
+def no_delivery_log():
+    log = gigabit_pattern_log(simulation._WRITE_ROWS + 700)
+    log.t_deliver[:] = math.nan
+    log.outcome[log.outcome == DELIVERED] = DROPPED_HARQ
+    return log
+
+
+def seventeen_digit_log():  # every t_gen goes to repr
+    log = gigabit_pattern_log(simulation._WRITE_ROWS + 300)
+    log.t_gen[:] = np.sort(seventeen_digit_floats(log.n_packets, seed=8))
+    return log
+
+
+PACKET_LOGS = {
+    "gigabit_orbit_1s": lambda: run(scenario(rate=1e9, window=1.0)),
+    "lawnmower_10s": lawnmower_log,
+    "no_delivery": no_delivery_log,
+    "t_gen_all_17_digits": seventeen_digit_log,
+    "two_chunks_exactly": lambda: gigabit_pattern_log(2 * simulation._WRITE_ROWS),
+}
 
 
 class TestCsvLogs:
@@ -454,16 +546,26 @@ class TestCsvLogs:
     def test_packet_log_bytes_over_several_chunks(self, tmp_path):
         # More than two 8192-row chunks, every outcome, NaN delivery times, and
         # delivery times shared by runs of packets as the MAC stage writes them.
-        rng = np.random.default_rng(4)
-        n = 2 * simulation._WRITE_ROWS + 1234
-        outcome = rng.integers(0, len(OUTCOME_NAMES), n)
-        t_gen = np.arange(n) * 1.2e-5
-        t_deliver = np.where(outcome == DELIVERED, np.ceil(t_gen / 125e-6) * 125e-6 + 125e-6,
-                             math.nan)
-        t_gen[:len(ODD_FLOATS)] = ODD_FLOATS
-        t_deliver[-len(ODD_FLOATS):] = ODD_FLOATS
-        log = manual_log(t_gen, t_deliver, outcome, size=12224)
+        log = gigabit_pattern_log(2 * simulation._WRITE_ROWS + 1234)
+        log.t_gen[:len(ODD_FLOATS)] = ODD_FLOATS
+        log.t_deliver[-len(ODD_FLOATS):] = ODD_FLOATS
         assert_same_bytes(write_packet_log, oracle_write_packet_log, log, tmp_path)
+
+    @pytest.mark.parametrize("name", sorted(PACKET_LOGS))
+    def test_packet_log_bytes(self, tmp_path, name):
+        assert_same_bytes(write_packet_log, oracle_write_packet_log, PACKET_LOGS[name](), tmp_path)
+
+    def test_packet_log_memory_does_not_grow_with_the_log(self, tmp_path):
+        def peak(n_chunks):
+            log = gigabit_pattern_log(n_chunks * simulation._WRITE_ROWS)
+            tracemalloc.start()
+            try:
+                write_packet_log(log, tmp_path / "packets.csv")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(20) <= 1.1 * peak(1)
 
     def test_snr_trace_bytes(self, tmp_path):
         rng = np.random.default_rng(5)
