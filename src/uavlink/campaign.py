@@ -4,24 +4,22 @@ BS placements, with report emission for the whole grid."""
 from __future__ import annotations
 
 import csv
-import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import astuple, dataclass, fields
+from functools import partial
 from pathlib import Path
 
 from .beamforming import parse_antenna_combo
 from .missions import MissionArchetype, synth_trace
 from .mobility import FlightTrace
-from .phy import PROFILES, profile_by_name
+from .phy import profile_by_name
 from .simulation import (
-    BS_OFFSETS,
     MetricsLog,
     ScenarioConfig,
     bs_position_for,
-    check_sim_window,
-    packet_interarrival,
     run,
     summarize,
     write_packet_log,
@@ -51,7 +49,13 @@ _PARSERS = {"str": str, "int": int, "float": float}  # by annotation, a string h
 
 @dataclass
 class RunMatrix:
-    """The experimental grid; LTE cells ignore the antenna axis (single antenna)."""
+    """The experimental grid; LTE cells ignore the antenna axis (single antenna).
+
+    Construction synthesizes one trace per mission (at the first seed, shared
+    by the mission's cells) and builds every cell's ScenarioConfig, in
+    ``configs`` (one per :func:`expand_cells` tuple), so a bad axis is refused
+    before any cell runs.
+    """
 
     missions: list[MissionArchetype]
     profiles: list[str]
@@ -72,18 +76,11 @@ class RunMatrix:
         ):
             if not axis:
                 raise ValueError(f"empty matrix axis: {name}")
-        for axis, table, what in ((self.bs_placements, BS_OFFSETS, "placement"),
-                                  (self.profiles, PROFILES, "profile")):
-            for p in axis:
-                if p not in table:
-                    raise ValueError(f"unknown {what} {p!r}, expected {' or '.join(table)}")
         for combo in self.antenna_combos:  # checked even when every profile is LTE (1x1)
             parse_antenna_combo(combo)
-        for rate in self.source_rates:
-            if not (math.isfinite(rate) and rate > 0):
-                raise ValueError(f"source rate must be positive and finite, got {rate}")
-            packet_interarrival(rate)  # every cell sends DEFAULT_PAYLOAD bytes a packet
-        check_sim_window(self.sim_window)
+        traces = {m: synth_trace(m, seed=self.seeds[0]) for m in self.missions}
+        self.configs = [build_scenario(traces[mission], *cell, self.sim_window)
+                        for mission, *cell in expand_cells(self)]
 
 
 def profile_antennas(profile: str, combos: list[str]) -> list[str]:
@@ -137,19 +134,14 @@ def cell_name(mission: MissionArchetype, profile, antennas, rate, placement, see
     return f"{mission.kind}_{profile}_{antennas}_{rate_str}mbps_{placement}_s{seed}"
 
 
-def _execute_cell(args) -> ReportRow:
-    (mission, profile, antennas, rate, placement, seed, sim_window, trace_seed,
-     out_dir, packet_logs) = args
-    trace = synth_trace(mission, seed=trace_seed)
-    config = build_scenario(trace, profile, antennas, rate, placement, seed, sim_window)
+def _execute_cell(job) -> ReportRow:
+    config, name, mission, placement, out_dir, packet_logs = job
     log = run(config)
-    name = cell_name(mission, profile, antennas, rate, placement, seed)
-    if out_dir is not None:
-        out = Path(out_dir)
-        write_snr_trace(log, out / f"{name}_snr.csv")
-        if packet_logs:
-            write_packet_log(log, out / f"{name}_packets.csv")
-    return summary_row(log, mission.kind, placement)
+    out = Path(out_dir)
+    write_snr_trace(log, out / f"{name}_snr.csv")
+    if packet_logs:
+        write_packet_log(log, out / f"{name}_packets.csv")
+    return summary_row(log, mission, placement)
 
 
 def summary_row(log: MetricsLog, mission: str, placement: str) -> ReportRow:
@@ -193,25 +185,18 @@ def run_matrix(
     workers = pool_size(workers, len(cells))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    trace_seed = matrix.seeds[0]  # one trace per mission, shared across cells
-    jobs = [
-        (*cell, matrix.sim_window, trace_seed, str(out), packet_logs) for cell in cells
-    ]
+    jobs = [(config, name, mission.kind, placement, str(out), packet_logs)
+            for config, name, (mission, *_, placement, _) in zip(matrix.configs, names, cells)]
     rows: list[ReportRow] = []
     errors: list[str] = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_execute_cell, job) for job in jobs]
-            for name, fut in zip(names, futures):
-                try:
-                    rows.append(fut.result())
-                except Exception as exc:  # per-cell isolation
-                    errors.append(f"{name}: {exc}")
-    else:
-        for name, job in zip(names, jobs):
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        # Each cell's result as a call: its future's, or in process the cell itself.
+        results = ([pool.submit(_execute_cell, job).result for job in jobs] if pool
+                   else [partial(_execute_cell, job) for job in jobs])
+        for name, result in zip(names, results):
             try:
-                rows.append(_execute_cell(job))
-            except Exception as exc:
+                rows.append(result())
+            except Exception as exc:  # per-cell isolation
                 errors.append(f"{name}: {exc}")
     rows.sort()
     if rows:

@@ -57,20 +57,6 @@ def bs_position_for(trace: FlightTrace, placement: str) -> tuple[float, float, f
     return (cx + BS_OFFSETS[placement], cy, DEFAULT_BS_HEIGHT)
 
 
-def check_sim_window(sim_window: float) -> None:
-    """Raise ValueError unless the simulated window is finite and non-negative."""
-    if not (math.isfinite(sim_window) and sim_window >= 0):
-        raise ValueError(f"sim_window must be non-negative and finite, got {sim_window}")
-
-
-def packet_interarrival(source_rate: float, payload: int = DEFAULT_PAYLOAD) -> float:
-    """s between packets of ``payload`` bytes at ``source_rate`` b/s; ValueError on overflow."""
-    if not math.isfinite(interarrival := payload * 8 / source_rate):
-        raise ValueError(f"source_rate {source_rate} is too small: "
-                         "the packet interarrival time overflows")
-    return interarrival
-
-
 @dataclass
 class ScenarioConfig:
     """Everything one simulation run needs; identical configs replay identically."""
@@ -89,19 +75,22 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.source_rate) and self.source_rate > 0):
-            raise ValueError(f"source_rate must be positive and finite, got {self.source_rate}")
+            raise ValueError(f"source rate must be positive and finite, got {self.source_rate}")
         if self.payload <= 0:
             raise ValueError("payload must be positive")
-        packet_interarrival(self.source_rate, self.payload)
+        if not math.isfinite(self.interarrival):
+            raise ValueError(f"source rate {self.source_rate / 1e6!r} Mb/s is too small: "
+                             "the packet interarrival time overflows")
         if self.header_overhead < 0:
             raise ValueError("header_overhead must be non-negative")
-        check_sim_window(self.sim_window)
+        if not (math.isfinite(self.sim_window) and self.sim_window >= 0):
+            raise ValueError(f"sim_window must be non-negative and finite, got {self.sim_window}")
         if self.bs_position is None:
             self.bs_position = bs_position_for(self.trace, next(iter(BS_OFFSETS)))
 
     @property
     def interarrival(self) -> float:  # s between packets; packet n is sent at n * interarrival
-        return packet_interarrival(self.source_rate, self.payload)
+        return self.payload * 8 / self.source_rate
 
 
 @dataclass
@@ -146,12 +135,16 @@ def _packet_bits(config: ScenarioConfig) -> int:
 def _array_sizes(config: ScenarioConfig) -> tuple[int, int, int]:
     """(slots, packet rows, slots per recorded channel sample) of a run; ValueError if
     its arrays, with the temporaries of ``summarize``, exceed physical memory."""
+    if not math.isfinite(config.sim_window / min(config.profile.slot_duration,
+                                                 config.interarrival)):
+        raise ValueError(f"a {config.sim_window} s window has more slots or packets than a "
+                         "float can count, more than physical memory")
     n_slots = int(round(config.sim_window / config.profile.slot_duration))
     max_pk = int(config.sim_window / config.interarrival) + 2
     record_every = max(1, round(DEFAULT_SNR_SAMPLE_INTERVAL / config.profile.slot_duration))
     packet_bytes = max_pk * (17 + 9)  # t_gen, t_deliver, outcome; summarize's mask and latencies
     # Per-slot SNR; each recorded sample, and summarize's list of its SNR (a float and a pointer).
-    snr_bytes = n_slots * 8 + len(range(0, n_slots, record_every)) * (SAMPLE_DTYPE.itemsize + 32)
+    snr_bytes = n_slots * 8 + -(-n_slots // record_every) * (SAMPLE_DTYPE.itemsize + 32)
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if packet_bytes + snr_bytes > physical:
         raise ValueError(f"run needs {packet_bytes} bytes for packets and {snr_bytes} bytes for "
@@ -205,7 +198,7 @@ def channel_pass(config: ScenarioConfig, shadow: ShadowingField) -> tuple[np.nda
     fc = link.carrier_freq
 
     snr_arr = np.empty(n_slots)
-    samples = np.empty(len(range(0, n_slots, record_every)), dtype=SAMPLE_DTYPE)
+    samples = np.empty(-(-n_slots // record_every), dtype=SAMPLE_DTYPE)
     samples["tx_power"], samples["noise_floor"] = link.tx_power, nf
 
     for s0 in range(0, n_slots, _CHUNK_SLOTS):

@@ -81,8 +81,8 @@ class TestMatrixShape:
     @pytest.mark.parametrize("rate", [-5e6, 0.0, float("nan"), float("inf"), 1e-314])
     def test_bad_rate_rejected(self, rate):
         # 1e-314 b/s is positive and finite, but a 1500-byte packet's interarrival overflows.
-        message = ("the packet interarrival time overflows" if rate == 1e-314
-                   else "source rate must be positive and finite")
+        message = ("source rate 1e-320 Mb/s is too small: the packet interarrival time overflows"
+                   if rate == 1e-314 else "source rate must be positive and finite")
         with pytest.raises(ValueError, match=message):
             small_matrix(source_rates=[10e6, rate])
 
@@ -145,6 +145,18 @@ class TestRunMatrix:
         run_matrix(small_matrix(), pooled, workers=2)
         for f in sorted(serial.iterdir()):
             assert (pooled / f.name).read_bytes() == f.read_bytes(), f.name
+
+    def test_one_trace_synthesis_per_mission(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_synth_trace(mission, seed):
+            calls.append(mission.kind)
+            return synth_trace(mission, seed=seed)
+
+        monkeypatch.setattr(campaign, "synth_trace", counting_synth_trace)
+        rows, errors = run_matrix(small_matrix(), tmp_path)  # 2 missions x {mmwave, lte}
+        assert errors == [] and len(rows) == 4
+        assert calls == ["overwatch_orbit", "search_lawnmower"]
 
 
     def test_rows_carry_their_seed(self, tmp_path):

@@ -230,6 +230,8 @@ def test_matrix_refuses_bad_axis_before_any_cell(tmp_path, capsys, profile, flag
     assert rc == 1
     err = capsys.readouterr().err
     assert message in err
+    if value == "2,1e-320":  # the refused rate is echoed as typed, in Mb/s
+        assert "source rate 1e-320 Mb/s is too small" in err
     assert "cell failed" not in err
     assert not out.exists()
 
@@ -247,14 +249,28 @@ def test_matrix_rejects_bad_window(tmp_path, capsys, window):
 
 
 def test_simulate_larger_than_memory_exits_one(tmp_path, capsys):
-    # 1e12 b/s over 1e5 s: ~1.4e14 bytes of packet rows; nothing is allocated.
-    rc = main([
-        "simulate", "--mission", "overwatch-orbit", "--rate-mbps", "1e6", "--window-s", "1e5",
-        "--out", str(tmp_path),
-    ])
+    # 1e12 b/s over 1e5 s: ~1.4e14 bytes of packet rows; 1e300 s: more slots than a
+    # C ssize_t can count; 1e308 s at 1 Gb/s: more packets than a float can count.
+    # Nothing is allocated.
+    for rate, window in (("1e6", "1e5"), ("10", "1e300"), ("1000", "1e308")):
+        rc = main([
+            "simulate", "--mission", "overwatch-orbit", "--rate-mbps", rate,
+            "--window-s", window, "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "physical memory" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
+
+def test_simulate_echoes_tiny_rate_in_mbps(tmp_path, capsys):
+    rc = main(["simulate", "--mission", "overwatch-orbit", "--rate-mbps", "1e-320",
+               "--window-s", "0.1", "--out", str(tmp_path)])
     assert rc == 1
-    assert "physical memory" in capsys.readouterr().err
-    assert not list(tmp_path.glob("*.csv"))
+    assert ("source rate 1e-320 Mb/s is too small: the packet interarrival time overflows"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.iterdir())
 
 
 def run_cli_in_1gib(*args: str) -> subprocess.CompletedProcess:
