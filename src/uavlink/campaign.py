@@ -53,8 +53,8 @@ class RunMatrix:
 
     Construction synthesizes one trace per mission (at the first seed, shared
     by the mission's cells) and builds every cell's ScenarioConfig, in
-    ``configs`` (one per :func:`expand_cells` tuple), so a bad axis is refused
-    before any cell runs.
+    ``configs`` (one per :func:`expand_cells` tuple), so a bad axis, or a window
+    too large for memory, is refused before any cell runs.
     """
 
     missions: list[MissionArchetype]

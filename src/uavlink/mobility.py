@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -80,8 +82,8 @@ class FlightTrace:
         object.__setattr__(self, "v", v)
 
     def centroid(self) -> tuple[float, float, float]:
-        # Python's left-to-right sum: np.mean sums pairwise and moves the last bit.
-        return tuple(sum(c.tolist()) / len(c) for c in (self.x, self.y, self.z))
+        # Left to right: np.mean sums pairwise, 3.12's sum compensates; both move the last bit.
+        return tuple(reduce(add, c.tolist(), 0.0) / len(c) for c in (self.x, self.y, self.z))
 
 
 def latlon_to_xy(p: GeoPoint, ref: GeoPoint) -> tuple[float, float]:

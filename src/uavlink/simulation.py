@@ -8,6 +8,8 @@ import math
 import os
 import random
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -85,6 +87,7 @@ class ScenarioConfig:
             raise ValueError("header_overhead must be non-negative")
         if not (math.isfinite(self.sim_window) and self.sim_window >= 0):
             raise ValueError(f"sim_window must be non-negative and finite, got {self.sim_window}")
+        _array_sizes(self)  # refuses a run larger than physical memory
         if self.bs_position is None:
             self.bs_position = bs_position_for(self.trace, next(iter(BS_OFFSETS)))
 
@@ -142,13 +145,14 @@ def _array_sizes(config: ScenarioConfig) -> tuple[int, int, int]:
     n_slots = int(round(config.sim_window / config.profile.slot_duration))
     max_pk = int(config.sim_window / config.interarrival) + 2
     record_every = max(1, round(DEFAULT_SNR_SAMPLE_INTERVAL / config.profile.slot_duration))
-    packet_bytes = max_pk * (17 + 9)  # t_gen, t_deliver, outcome; summarize's mask and latencies
+    packet_bytes = max_pk * 26.0  # t_gen, t_deliver, outcome; summarize's mask and latencies
     # Per-slot SNR; each recorded sample, and summarize's list of its SNR (a float and a pointer).
-    snr_bytes = n_slots * 8 + -(-n_slots // record_every) * (SAMPLE_DTYPE.itemsize + 32)
+    snr_bytes = n_slots * 8.0 + -(-n_slots // record_every) * (SAMPLE_DTYPE.itemsize + 32.0)
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if packet_bytes + snr_bytes > physical:
-        raise ValueError(f"run needs {packet_bytes} bytes for packets and {snr_bytes} bytes for "
-                         f"channel samples, more than the {physical} bytes of physical memory")
+        raise ValueError(f"run needs {packet_bytes:.3g} bytes for packets and {snr_bytes:.3g} "
+                         f"bytes for channel samples, more than the {physical:.3g} bytes of "
+                         "physical memory")
     return n_slots, max_pk, record_every
 
 
@@ -278,10 +282,11 @@ def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.n
     t_del_arr = np.full(max_pk, np.nan)
     outcome_arr = np.zeros(max_pk, dtype=np.int8)
 
-    # Packets admitted (k_tab) and generated (g_tab) by the end of each slot since the
-    # head packet's admission, a row per admitted count, and of the wait + 1 slots before
-    # the chunk. Packet k of the admission order is k + g - k' for the last k' <= k.
+    # Packets admitted (k_tab) and generated (g_tab) by the end of each slot of the chunk
+    # and of the wait + 1 slots before it; the indices of the packets admitted and not yet
+    # settled, in admission order, the first being packet done[0] // pkt_bits of that order.
     k_tab = g_tab = np.zeros(wait + 1, dtype=np.int64)
+    queue = np.zeros(0, dtype=np.int64)
     draws, di = np.empty(0), 0  # HARQ uniforms, one per slot of a chunk ahead, used from di on
     sent, done = 0, np.zeros(1, dtype=np.int64)  # D; per slot, D less a block yet to succeed
     block, lo, nxt = None, 0, 0  # a failed block, the bits before it and its next attempt's slot
@@ -295,16 +300,6 @@ def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.n
         if m < len(slots) and fails[m]:
             return m, slots.item(m) + 1 - i
         return len(slots), n - i
-
-    def packets(k0, k1):
-        """Indices of packets k0 .. k1 - 1 of the admission order."""
-        j = k_tab.searchsorted((k0, k1 - 1), side="right") - 1
-        lag = (g_tab[j] - k_tab[j]).tolist()
-        if lag[0] == lag[1]:  # no drop among them
-            return slice(k0 + lag[0], k1 + lag[0])
-        ks = np.arange(k0, k1)
-        j = k_tab.searchsorted(ks, side="right") - 1
-        return ks + (g_tab[j] - k_tab[j])
 
     for c0 in range(0, n_slots, _CHUNK_SLOTS):
         n = min(_CHUNK_SLOTS, n_slots - c0)
@@ -381,27 +376,26 @@ def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.n
                 done[i + stop] = lo
             di, i = di + m, i + stop
 
+        # Slot s admits the first of its arrivals that fit: packet k of the admission
+        # order is k + G - K of the slot before.
+        lag = g_tab[b - 1:-1] - k_tab[b - 1:-1]
+        queue = np.concatenate((queue, np.arange(k_tab.item(b - 1), k_tab.item(-1))
+                                + lag.repeat(np.diff(k_tab[b - 1:]))))
         # Packet k completes in the first slot whose done reaches (k + 1) * pkt_bits.
         k0, head = done.item(0) // pkt_bits, done.item(n) // pkt_bits
-        at = packets(k0, head)
-        slots = done[1:].searchsorted(np.arange(k0 + 1, head + 1) * pkt_bits) + c0
-        t_del_arr[at] = slots * slot + slot
+        at = queue[:head - k0]
+        t_del_arr[at] = np.arange(c0, c0 + n).repeat(np.diff(done // pkt_bits)) * slot + slot
         outcome_arr[at] = DELIVERED
-        for k0, k1 in dropped:
-            at = packets(k0, k1)
+        for k1, k2 in dropped:
+            at = queue[k1 - k0:k2 - k0]
             t_del_arr[at] = np.nan
             outcome_arr[at] = DROPPED_HARQ
-        # Keep the rows that map a packet not yet settled, and the last wait + 1.
-        last = len(k_tab) - wait - 1
-        j0 = min(int(k_tab.searchsorted(head, side="right")) - 1, last)
-        rows = np.concatenate((np.flatnonzero(k_tab[j0:last] < k_tab[j0 + 1:last + 1]) + j0,
-                               np.arange(last, len(k_tab))))
-        k_tab, g_tab = k_tab[rows], g_tab[rows]
+        queue, k_tab, g_tab = queue[head - k0:], k_tab[-wait - 1:], g_tab[-wait - 1:]
 
     n_gen, n_adm = g_tab.item(-1), k_tab.item(-1)
     if n_gen > n_adm:  # what was neither settled nor queued was dropped on arrival
         outcome_arr[:n_gen][outcome_arr[:n_gen] == IN_FLIGHT] = DROPPED_BUFFER
-        outcome_arr[packets(done.item(-1) // pkt_bits, n_adm)] = IN_FLIGHT
+        outcome_arr[queue] = IN_FLIGHT
     t_gen = np.arange(n_gen, dtype=np.float64)
     t_gen *= interarrival  # bit-equal to n * interarrival
     return t_gen, t_del_arr[:n_gen], outcome_arr[:n_gen]
@@ -442,7 +436,7 @@ def summarize(log: MetricsLog) -> Summary:
         p99_latency_s=p99_lat,
         loss_fraction=(dropped_buffer + dropped_harq) / n if n else 0.0,
         min_snr_db=min(snrs) if snrs else 0.0,
-        mean_snr_db=sum(snrs) / len(snrs) if snrs else 0.0,
+        mean_snr_db=reduce(add, snrs, 0.0) / len(snrs) if snrs else 0.0,  # left to right
     )
 
 

@@ -264,6 +264,23 @@ def test_simulate_larger_than_memory_exits_one(tmp_path, capsys):
         assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command", [["simulate", "--mission", "overwatch-orbit"],
+                                     ["matrix", "--missions", "overwatch_orbit", "--profile",
+                                      "mmwave,lte", "--antennas", "64x16"]],
+                         ids=["simulate", "matrix"])
+def test_larger_than_memory_is_one_short_error_before_any_cell(tmp_path, capsys, command):
+    # Each ScenarioConfig refuses the run as it is built: a matrix prints one
+    # error line, not a "cell failed" line per cell, and creates no directory.
+    out = tmp_path / "out"
+    rc = main([*command, "--rate-mbps", "2", "--window-s", "1e300", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "physical memory" in err
+    assert len(err) < 300  # byte counts as 3 significant digits
+    assert not out.exists()
+
+
 def test_simulate_echoes_tiny_rate_in_mbps(tmp_path, capsys):
     rc = main(["simulate", "--mission", "overwatch-orbit", "--rate-mbps", "1e-320",
                "--window-s", "0.1", "--out", str(tmp_path)])

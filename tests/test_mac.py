@@ -16,7 +16,7 @@ from uavlink import simulation
 from uavlink.campaign import build_scenario
 from uavlink.channel import ShadowingField
 from uavlink.missions import MissionArchetype, synth_trace
-from uavlink.phy import BLER_MAX, Outcome, bler, lte_profile, mmwave_profile, tb_bits
+from uavlink.phy import BLER_MAX, BLER_MIN, Outcome, bler, lte_profile, mmwave_profile, tb_bits
 from uavlink.simulation import (
     _CHUNK_SLOTS,
     DELIVERED,
@@ -163,10 +163,15 @@ TOP, BOTTOM = THRESHOLDS[-1], THRESHOLDS[0]
 CLEAR = TOP + 40.0  # BLER_MIN at the top MCS
 
 
-def failing_first_draw_seed():
-    """A HARQ seed whose first uniform fails a top-MCS block sent on its threshold."""
+def failing_draw_seed(attempt=0):
+    """A HARQ seed whose uniform ``attempt`` fails a top-MCS block sent on its threshold,
+    and whose earlier ones pass blocks sent at BLER_MIN."""
     p_err = bler(mmwave_profile().mcs_table[-1].snr_threshold, TOP)
-    return next(seed for seed in range(1000) if random.Random(seed).random() < p_err)
+    for seed in range(1000):
+        rng = random.Random(seed)
+        draws = [rng.random() for _ in range(attempt + 1)]
+        if draws[-1] < p_err and min(draws[:-1], default=1.0) >= BLER_MIN:
+            return seed
 
 
 def one_failure_across_the_border():
@@ -241,21 +246,36 @@ def saturated_then_drained():
     return snr
 
 
+def harq_drop_across_tail_drops():
+    # One live slot in four, as above: the buffer fills by about slot 350 and
+    # tail drops fall between admitted packets. By slot 1000, the 251st first
+    # attempt, the queue head is past the first of them, and a top-MCS block
+    # there fails three times: its packets are not contiguous.
+    snr = np.full(2 * _CHUNK_SLOTS, CLEAR)
+    snr[:1000] = OUTAGE
+    snr[:1000:4] = CLEAR
+    snr[1000] = TOP
+    snr[1004] = snr[1008] = BOTTOM + 0.1
+    return snr
+
+
 BORDER_CASES = {
     "harq-failure-in-last-chunk-slot": ("mmwave", 10e6, one_failure_across_the_border,
-                                        failing_first_draw_seed()),
+                                        failing_draw_seed()),
     "overflow-mid-scan": ("mmwave", 1000e6, overflow_mid_scan, 4),
     "outage-longer-than-a-chunk": ("mmwave", 10e6, outage_longer_than_a_chunk, 4),
     "lte-wait-over-the-border": ("lte", 12e6, lte_wait_over_the_border, 4),
     "parked-on-a-threshold-10mbps": ("mmwave", 10e6, parked_on_a_threshold, 8),
     "parked-on-a-threshold-96mbps": ("mmwave", 96e6, parked_on_a_threshold, 8),
     "retransmission-after-an-outage": ("mmwave", 10e6, retransmission_after_an_outage,
-                                       failing_first_draw_seed()),
+                                       failing_draw_seed()),
     "third-attempt-drop-with-a-full-buffer": ("mmwave", 1000e6,
                                               third_attempt_drop_with_a_full_buffer,
-                                              failing_first_draw_seed()),
+                                              failing_draw_seed()),
     "saturated-across-the-border": ("mmwave", 1000e6, saturated_across_the_border, 4),
     "lte-saturated-then-drained": ("lte", 60e6, saturated_then_drained, 4),
+    "harq-drop-across-tail-drops": ("mmwave", 1000e6, harq_drop_across_tail_drops,
+                                    failing_draw_seed(250)),
 }
 
 
@@ -297,6 +317,11 @@ class TestChunkAndScanBorders:
             at = round(_CHUNK_SLOTS * 125e-6 / 12e-6)
             assert (outcome[at - 200:at] == DROPPED_BUFFER).any()
             assert (outcome[at:at + 200] == DROPPED_BUFFER).any()
+        elif case == "harq-drop-across-tail-drops":
+            assert failed == [(1000, 1), (1004, 2), (1008, 3)]
+            seqs = np.flatnonzero(outcome == DROPPED_HARQ)
+            assert seqs[-1] + 1 - seqs[0] > len(seqs)  # tail drops between them
+            assert (outcome[:seqs[0]] == DROPPED_BUFFER).any()
         elif case == "lte-saturated-then-drained":
             assert (outcome == DROPPED_BUFFER).any()
             assert (outcome[-100:] == DELIVERED).any()  # the queue drained: new packets go

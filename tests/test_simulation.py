@@ -1,3 +1,4 @@
+import builtins
 import csv
 import dataclasses
 import math
@@ -408,6 +409,44 @@ class TestMetrics:
         assert s.empty
         assert s.generated == 0
         assert s.throughput_bps == 0.0
+
+
+PYTHON_SUM = sum
+
+
+def compensated_sum(values, start=0):
+    """Python 3.12's sum of floats: Neumaier's compensated sum; ints as before."""
+    values = list(values)
+    if not all(isinstance(v, float) for v in values):
+        return PYTHON_SUM(values, start)
+    total, comp = float(start), 0.0
+    for x in values:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp
+
+
+CANCELLING = [1e16, 1.0, -1e16]  # 0.0 left to right, 1.0 compensated
+
+
+class TestLeftToRightSums:
+    """The centroid (and with it the BS position and every SNR) and the mean SNR
+    sum left to right on every Python version, as 3.11's sum does."""
+
+    def test_centroid(self, monkeypatch):
+        trace = FlightTrace(GeoPoint(0.0, 30.0, 0.0, 25.0), t=(0.0, 1.0, 2.0), x=CANCELLING,
+                            y=CANCELLING[::-1], z=(1.0, 2.0, 6.0))
+        assert compensated_sum(CANCELLING) == 1.0
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        assert trace.centroid() == (0.0, 0.0, 3.0)
+
+    def test_mean_snr(self, monkeypatch):
+        samples = np.zeros(3, dtype=SAMPLE_DTYPE).view(np.recarray)
+        samples.snr = CANCELLING
+        log = dataclasses.replace(manual_log([], [], []), snr_series=samples)
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        assert summarize(log).mean_snr_db == 0.0
 
 
 def _rows(*columns):
