@@ -17,7 +17,6 @@ from .missions import MissionArchetype, synth_trace
 from .mobility import FlightTrace
 from .phy import profile_by_name
 from .simulation import (
-    MetricsLog,
     ScenarioConfig,
     bs_position_for,
     run,
@@ -52,9 +51,10 @@ class RunMatrix:
     """The experimental grid; LTE cells ignore the antenna axis (single antenna).
 
     Construction synthesizes one trace per mission (at the first seed, shared
-    by the mission's cells) and builds every cell's ScenarioConfig, in
-    ``configs`` (one per :func:`expand_cells` tuple), so a bad axis, or a window
-    too large for memory, is refused before any cell runs.
+    by the mission's cells) and builds ``cells``: one (name, coordinates,
+    ScenarioConfig) per :func:`expand_cells` tuple, where the coordinates are the
+    first seven ReportRow fields. So a bad axis, a window too large for memory,
+    or two cells that share a name, is refused before any cell runs.
     """
 
     missions: list[MissionArchetype]
@@ -79,8 +79,19 @@ class RunMatrix:
         for combo in self.antenna_combos:  # checked even when every profile is LTE (1x1)
             parse_antenna_combo(combo)
         traces = {m: synth_trace(m, seed=self.seeds[0]) for m in self.missions}
-        self.configs = [build_scenario(traces[mission], *cell, self.sim_window)
-                        for mission, *cell in expand_cells(self)]
+        self.cells: list[tuple[str, tuple, ScenarioConfig]] = []
+        for mission, profile, antennas, rate, placement, seed in expand_cells(self):
+            cfg = build_scenario(traces[mission], profile, antennas, rate, placement, seed,
+                                 self.sim_window)
+            self.cells.append((
+                f"{mission.kind}_{profile}_{antennas}_{rate / 1e6:g}mbps_{placement}_s{seed}",
+                (mission.kind, profile, f"{cfg.bs_array.size}x{cfg.uav_array.size}",
+                 rate / 1e6, placement, seed, self.sim_window),
+                cfg,
+            ))
+        clashes = [name for name, n in Counter(cell[0] for cell in self.cells).items() if n > 1]
+        if clashes:
+            raise ValueError(f"matrix cells share a name: {', '.join(clashes)}")
 
 
 def profile_antennas(profile: str, combos: list[str]) -> list[str]:
@@ -128,39 +139,16 @@ def expand_cells(matrix: RunMatrix) -> list[tuple]:
     return cells
 
 
-def cell_name(mission: MissionArchetype, profile, antennas, rate, placement, seed) -> str:
-    rate_mbps = rate / 1e6
-    rate_str = f"{rate_mbps:g}"
-    return f"{mission.kind}_{profile}_{antennas}_{rate_str}mbps_{placement}_s{seed}"
-
-
 def _execute_cell(job) -> ReportRow:
-    config, name, mission, placement, out_dir, packet_logs = job
+    name, coordinates, config, out_dir, packet_logs = job
     log = run(config)
     out = Path(out_dir)
     write_snr_trace(log, out / f"{name}_snr.csv")
     if packet_logs:
         write_packet_log(log, out / f"{name}_packets.csv")
-    return summary_row(log, mission, placement)
-
-
-def summary_row(log: MetricsLog, mission: str, placement: str) -> ReportRow:
     s = summarize(log)
-    cfg = log.config
-    antennas = f"{cfg.bs_array.size}x{cfg.uav_array.size}"
-    return ReportRow(
-        mission=mission,
-        profile=cfg.profile.name,
-        antennas=antennas,
-        rate_mbps=cfg.source_rate / 1e6,
-        placement=placement,
-        seed=cfg.seed,
-        window_s=cfg.sim_window,
-        throughput_mbps=s.throughput_bps / 1e6,
-        mean_latency_ms=s.mean_latency_s * 1e3,
-        p99_latency_ms=s.p99_latency_s * 1e3,
-        loss_frac=s.loss_fraction,
-    )
+    return ReportRow(*coordinates, s.throughput_bps / 1e6, s.mean_latency_s * 1e3,
+                     s.p99_latency_s * 1e3, s.loss_fraction)
 
 
 def run_matrix(
@@ -170,30 +158,23 @@ def run_matrix(
     workers: int = 1,
     packet_logs: bool = False,
 ) -> tuple[list[ReportRow], list[str]]:
-    """Run every cell, write per-cell logs plus the summary table.
+    """Run every cell of ``matrix.cells``, write per-cell logs plus the summary table.
 
-    Raises ValueError, before writing anything, if two cells share a name.
-    Cell failures are collected and reported without aborting the rest of the
-    grid, and no summary is written when none succeeds. Output files are
-    independent of execution order: rows are sorted by grid coordinates.
+    Cell failures are collected and reported, by cell name, without aborting
+    the rest of the grid, and no summary is written when none succeeds. Output
+    files are independent of execution order: rows are sorted by grid coordinates.
     """
-    cells = expand_cells(matrix)
-    names = [cell_name(*cell) for cell in cells]
-    clashes = [name for name, n in Counter(names).items() if n > 1]
-    if clashes:
-        raise ValueError(f"matrix cells share a name: {', '.join(clashes)}")
-    workers = pool_size(workers, len(cells))
+    workers = pool_size(workers, len(matrix.cells))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = [(config, name, mission.kind, placement, str(out), packet_logs)
-            for config, name, (mission, *_, placement, _) in zip(matrix.configs, names, cells)]
+    jobs = [(*cell, str(out), packet_logs) for cell in matrix.cells]
     rows: list[ReportRow] = []
     errors: list[str] = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        # Each cell's result as a call: its future's, or in process the cell itself.
-        results = ([pool.submit(_execute_cell, job).result for job in jobs] if pool
-                   else [partial(_execute_cell, job) for job in jobs])
-        for name, result in zip(names, results):
+        # Each cell's name and its result as a call: its future's, or in process the cell itself.
+        results = [(job[0], pool.submit(_execute_cell, job).result if pool
+                    else partial(_execute_cell, job)) for job in jobs]
+        for name, result in results:
             try:
                 rows.append(result())
             except Exception as exc:  # per-cell isolation

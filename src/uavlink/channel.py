@@ -44,8 +44,8 @@ class ShadowingField:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be non-negative and finite, got {self.sigma}")
         self._rng = np.random.default_rng(self.seed)
         self._last = None  # [x, y, z] of the previous query, each of shape (1,)
         self._last_val = 0.0

@@ -156,8 +156,8 @@ def decimate(trace: FlightTrace, min_spacing: float) -> FlightTrace:
 
     Greedy in time order; the first and last waypoints are always kept.
     """
-    if min_spacing <= 0:
-        raise ValueError("min_spacing must be positive")
+    if not 0 < min_spacing < math.inf:
+        raise ValueError(f"min_spacing must be positive and finite, got {min_spacing}")
     t = trace.t.tolist()
     kept = [0]
     for i in range(1, len(t) - 1):

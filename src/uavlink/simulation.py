@@ -159,8 +159,8 @@ def _array_sizes(config: ScenarioConfig) -> tuple[int, int, int]:
 def run(config: ScenarioConfig) -> MetricsLog:
     """Execute one scenario end to end: the channel stage, then the MAC stage.
 
-    Deterministic for a fixed config including seed. Raises ValueError, before
-    allocating anything, if the run's arrays would exceed physical memory.
+    Deterministic for a fixed config including seed. A run whose arrays would
+    exceed physical memory is refused earlier, when its ScenarioConfig is built.
     """
     # Independent RNG streams: shadowing draws must not shift when HARQ
     # consumption changes between configs sharing a seed.
@@ -405,8 +405,6 @@ def summarize(log: MetricsLog) -> Summary:
     """Mission-level statistics, recomputed from the packet columns every call."""
     n = log.n_packets
     snrs = log.snr_series.snr.tolist()
-    if n == 0 and not snrs:
-        return Summary(True, 0, 0, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     counts = np.bincount(log.outcome, minlength=len(OUTCOME_NAMES)).tolist()
     in_flight, delivered, dropped_buffer, dropped_harq = counts
     delivered_mask = log.outcome == DELIVERED
@@ -424,7 +422,7 @@ def summarize(log: MetricsLog) -> Summary:
     else:
         mean_lat = median_lat = p99_lat = 0.0
     return Summary(
-        empty=False,
+        empty=n == 0 and not snrs,
         generated=n,
         delivered=delivered,
         dropped_buffer=dropped_buffer,

@@ -78,6 +78,11 @@ class TestMatrixShape:
         with pytest.raises(ValueError, match=repr(combo)):
             small_matrix(profiles=profiles, antenna_combos=["64x16", combo])
 
+    def test_cell_name_clash_rejected_at_construction(self):
+        # Both rates print as 2 Mb/s with :g, so both cells would write the same files.
+        with pytest.raises(ValueError, match="matrix cells share a name"):
+            small_matrix(source_rates=[2e6, 2.00000001e6])
+
     @pytest.mark.parametrize("rate", [-5e6, 0.0, float("nan"), float("inf"), 1e-314])
     def test_bad_rate_rejected(self, rate):
         # 1e-314 b/s is positive and finite, but a 1500-byte packet's interarrival overflows.
@@ -117,6 +122,18 @@ class TestRunMatrix:
         lte = [r for r in rows if r.profile == "lte"]
         assert len(lte) == 1
         assert lte[0].antennas == "1x1"
+
+    def test_antennas_coordinate_is_the_parsed_combo(self, tmp_path):
+        # Files are named as the combo was typed; the report row holds the parsed arrays.
+        matrix = small_matrix(missions=MISSIONS[:1], profiles=["mmwave"],
+                              antenna_combos=["64X16"])
+        rows, errors = run_matrix(matrix, tmp_path, packet_logs=True)
+        assert errors == []
+        assert [r.antennas for r in rows] == ["64x16"]
+        assert read_report_csv(tmp_path / "summary.csv") == rows
+        name = "overwatch_orbit_mmwave_64X16_5mbps_on_premise_s3"
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+            f"{name}_packets.csv", f"{name}_snr.csv", "summary.csv"]
 
     def test_cell_failure_does_not_abort_matrix(self, tmp_path, monkeypatch):
         def run_but_fail_16x4(config):

@@ -112,6 +112,12 @@ class TestShadowing:
         field = ShadowingField(sigma=0.0, seed=7)
         assert field.sample_at(np.array([1.0]), np.array([2.0]), np.array([3.0]))[0] == 0.0
 
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
+    def test_bad_sigma_rejected(self, sigma):
+        # A NaN sigma would make every SNR NaN, which the MAC reads as the top MCS.
+        with pytest.raises(ValueError, match="sigma must be non-negative and finite"):
+            ShadowingField(sigma=sigma)
+
 
 class TestShadowingArrays:
     # 2000 points 1 m apart (200 decorrelation lengths), a 50 km jump in one

@@ -177,6 +177,13 @@ class TestDecimate:
         twice = decimate(once, 1.7)
         assert same_columns(once, twice)
 
+    @pytest.mark.parametrize("spacing", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_spacing_rejected(self, spacing):
+        # Every `>= nan` test is False: a NaN spacing would keep only the end waypoints.
+        trace = make_trace([(float(t), float(t), 0.0, 5.0) for t in range(5)])
+        with pytest.raises(ValueError, match="min_spacing must be positive and finite"):
+            decimate(trace, spacing)
+
 
 def sampled_state(trace, t):
     """(position, velocity) at one time, each a tuple, from TrajectorySampler.track."""

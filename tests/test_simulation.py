@@ -37,6 +37,7 @@ from uavlink.simulation import (
     SNR_CSV_HEADER,
     MetricsLog,
     ScenarioConfig,
+    Summary,
     mac_pass,
     run,
     summarize,
@@ -406,9 +407,7 @@ class TestMetrics:
     def test_empty_summary_flag(self):
         log = manual_log([], [], [])
         s = summarize(log)
-        assert s.empty
-        assert s.generated == 0
-        assert s.throughput_bps == 0.0
+        assert s == Summary(True, 0, 0, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 PYTHON_SUM = sum
