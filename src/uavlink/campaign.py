@@ -19,7 +19,9 @@ from .phy import profile_by_name
 from .simulation import (
     ScenarioConfig,
     bs_position_for,
+    physical_memory,
     run,
+    run_bytes,
     summarize,
     write_packet_log,
     write_snr_trace,
@@ -164,7 +166,8 @@ def run_matrix(
     the rest of the grid, and no summary is written when none succeeds. Output
     files are independent of execution order: rows are sorted by grid coordinates.
     """
-    workers = pool_size(workers, len(matrix.cells))
+    largest = max(sum(run_bytes(config)) for *_, config in matrix.cells)
+    workers = pool_size(workers, len(matrix.cells), largest)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     jobs = [(*cell, str(out), packet_logs) for cell in matrix.cells]
@@ -186,11 +189,13 @@ def run_matrix(
     return rows, errors
 
 
-def pool_size(workers: int, cells: int) -> int:
-    """Worker processes for a matrix: no more than its cells or this host's CPUs."""
+def pool_size(workers: int, cells: int, cell_bytes: float = 0.0) -> int:
+    """Worker processes for a matrix: no more than its cells, this host's CPUs, or the
+    cells of ``cell_bytes`` each (see ``run_bytes``) that fit in physical memory at once."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    return max(1, min(workers, cells, os.cpu_count() or 1))
+    fit = int(physical_memory() // cell_bytes) if cell_bytes else cells
+    return max(1, min(workers, cells, os.cpu_count() or 1, fit))
 
 
 def render_report(rows) -> str:

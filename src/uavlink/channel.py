@@ -29,6 +29,12 @@ class LinkProfile:
             raise ValueError("carrier_freq and bandwidth must be positive")
 
 
+def check_sigma(sigma: float) -> None:
+    """The shadowing ``sigma`` rule: ValueError unless it is non-negative and finite."""
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be non-negative and finite, got {sigma}")
+
+
 @dataclass
 class ShadowingField:
     """Log-normal shadowing, spatially correlated along the query path.
@@ -44,8 +50,7 @@ class ShadowingField:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.sigma < math.inf:
-            raise ValueError(f"sigma must be non-negative and finite, got {self.sigma}")
+        check_sigma(self.sigma)
         self._rng = np.random.default_rng(self.seed)
         self._last = None  # [x, y, z] of the previous query, each of shape (1,)
         self._last_val = 0.0

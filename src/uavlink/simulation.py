@@ -20,7 +20,7 @@ from .beamforming import (
     BeamTracker,
     array_basis,
 )
-from .channel import ShadowingField, doppler_shift, fspl_db, noise_floor_dbm
+from .channel import ShadowingField, check_sigma, doppler_shift, fspl_db, noise_floor_dbm
 from .mobility import FlightTrace, TrajectorySampler
 from .phy import Outcome, RatProfile, TransportBlock, harq_step
 
@@ -87,7 +87,13 @@ class ScenarioConfig:
             raise ValueError("header_overhead must be non-negative")
         if not (math.isfinite(self.sim_window) and self.sim_window >= 0):
             raise ValueError(f"sim_window must be non-negative and finite, got {self.sim_window}")
-        _array_sizes(self)  # refuses a run larger than physical memory
+        check_sigma(self.shadowing_sigma)
+        packet_bytes, snr_bytes = run_bytes(self)
+        physical = physical_memory()
+        if packet_bytes + snr_bytes > physical:
+            raise ValueError(f"run needs {packet_bytes:.3g} bytes for packets and {snr_bytes:.3g} "
+                             f"bytes for channel samples, more than the {physical:.3g} bytes of "
+                             "physical memory")
         if self.bs_position is None:
             self.bs_position = bs_position_for(self.trace, next(iter(BS_OFFSETS)))
 
@@ -103,15 +109,26 @@ class MetricsLog:
     each element reads ``.snr``, ``.tx_gain``, ... (the SAMPLE_DTYPE fields)."""
 
     config: ScenarioConfig
-    t_gen: np.ndarray  # float64, s
-    t_deliver: np.ndarray  # float64, s; NaN when not delivered
+    deliver_slot: np.ndarray  # int32 (int64 past 2**31 slots); -1 when not delivered
     outcome: np.ndarray  # int8 codes into OUTCOME_NAMES
     packet_bits: int  # payload plus headers
     snr_series: np.recarray  # SAMPLE_DTYPE records
 
     @property
     def n_packets(self) -> int:
-        return int(self.t_gen.shape[0])
+        return int(self.outcome.shape[0])
+
+    def columns(self, r0: int = 0, r1: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(t_gen, t_deliver) in s of packets ``r0`` to ``r1``: packet n is sent at
+        ``n * interarrival`` and delivered at the end of its slot, NaN if it is not."""
+        r1 = self.n_packets if r1 is None else min(r1, self.n_packets)
+        t_gen = np.arange(r0, r1, dtype=np.float64)
+        t_gen *= self.config.interarrival
+        slot = self.config.profile.slot_duration
+        slots = self.deliver_slot[r0:r1]
+        t_deliver = slots * slot + slot
+        t_deliver[slots < 0] = np.nan
+        return t_gen, t_deliver
 
 
 @dataclass(frozen=True)
@@ -135,9 +152,13 @@ def _packet_bits(config: ScenarioConfig) -> int:
     return (config.payload + config.header_overhead) * 8
 
 
-def _array_sizes(config: ScenarioConfig) -> tuple[int, int, int]:
-    """(slots, packet rows, slots per recorded channel sample) of a run; ValueError if
-    its arrays, with the temporaries of ``summarize``, exceed physical memory."""
+def physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _array_sizes(config: ScenarioConfig) -> tuple[int, int, int, np.dtype]:
+    """(slots, packet rows, slots per recorded channel sample, dtype of a delivery slot)
+    of a run; a delivery slot is an int32 unless the run has 2**31 slots or more."""
     if not math.isfinite(config.sim_window / min(config.profile.slot_duration,
                                                  config.interarrival)):
         raise ValueError(f"a {config.sim_window} s window has more slots or packets than a "
@@ -145,22 +166,26 @@ def _array_sizes(config: ScenarioConfig) -> tuple[int, int, int]:
     n_slots = int(round(config.sim_window / config.profile.slot_duration))
     max_pk = int(config.sim_window / config.interarrival) + 2
     record_every = max(1, round(DEFAULT_SNR_SAMPLE_INTERVAL / config.profile.slot_duration))
-    packet_bytes = max_pk * 26.0  # t_gen, t_deliver, outcome; summarize's mask and latencies
+    return n_slots, max_pk, record_every, np.dtype(np.int32 if n_slots < 2**31 else np.int64)
+
+
+def run_bytes(config: ScenarioConfig) -> tuple[float, float]:
+    """Bytes of a run's packet arrays and of its channel arrays, each with the
+    temporaries of ``summarize``."""
+    n_slots, max_pk, record_every, slot_dtype = _array_sizes(config)
+    # deliver_slot and outcome; summarize's delivered mask and latencies.
+    packet_bytes = max_pk * (slot_dtype.itemsize + 1 + 1 + 8.0)
     # Per-slot SNR; each recorded sample, and summarize's list of its SNR (a float and a pointer).
     snr_bytes = n_slots * 8.0 + -(-n_slots // record_every) * (SAMPLE_DTYPE.itemsize + 32.0)
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if packet_bytes + snr_bytes > physical:
-        raise ValueError(f"run needs {packet_bytes:.3g} bytes for packets and {snr_bytes:.3g} "
-                         f"bytes for channel samples, more than the {physical:.3g} bytes of "
-                         "physical memory")
-    return n_slots, max_pk, record_every
+    return packet_bytes, snr_bytes
 
 
 def run(config: ScenarioConfig) -> MetricsLog:
     """Execute one scenario end to end: the channel stage, then the MAC stage.
 
     Deterministic for a fixed config including seed. A run whose arrays would
-    exceed physical memory is refused earlier, when its ScenarioConfig is built.
+    exceed physical memory is refused earlier, when its ScenarioConfig is built
+    (``run_bytes``).
     """
     # Independent RNG streams: shadowing draws must not shift when HARQ
     # consumption changes between configs sharing a seed.
@@ -168,8 +193,8 @@ def run(config: ScenarioConfig) -> MetricsLog:
     shadow = ShadowingField(sigma=config.shadowing_sigma, seed=seeder.getrandbits(64))
     harq_rng = random.Random(seeder.getrandbits(64))
     snr, samples = channel_pass(config, shadow)
-    t_gen, t_deliver, outcome = mac_pass(config, snr, harq_rng)
-    return MetricsLog(config, t_gen, t_deliver, outcome, _packet_bits(config), samples)
+    deliver_slot, outcome = mac_pass(config, snr, harq_rng)
+    return MetricsLog(config, deliver_slot, outcome, _packet_bits(config), samples)
 
 
 def channel_pass(config: ScenarioConfig, shadow: ShadowingField) -> tuple[np.ndarray, np.recarray]:
@@ -183,7 +208,7 @@ def channel_pass(config: ScenarioConfig, shadow: ShadowingField) -> tuple[np.nda
     """
     prof = config.profile
     slot = prof.slot_duration
-    n_slots, _, record_every = _array_sizes(config)
+    n_slots, _, record_every, _ = _array_sizes(config)
 
     bs = np.reshape(config.bs_position, (3, 1))
     aim = tuple(np.subtract(config.trace.centroid(), config.bs_position).tolist())
@@ -253,7 +278,8 @@ def packets_generated(slots: np.ndarray, slot: float, interarrival: float,
 
 
 def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.ndarray, ...]:
-    """(t_gen, t_deliver, outcome) of the packets sent over ``snr``, one per slot.
+    """(deliver_slot, outcome) of the packets sent over ``snr``, one per slot: the
+    slot each packet is delivered in (-1 if it is not) and its code.
 
     Each slot admits the CBR arrivals that fit the buffer (tail drop) and fills
     a transport block FIFO from the queue, byte-granular: in admission order,
@@ -278,8 +304,8 @@ def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.n
     thresholds = np.array([e.snr_threshold for e in prof.mcs_table])
     caps = np.array([phy.tb_bits(prof, e) // 8 * 8 for e in prof.mcs_table] + [0])  # outage: 0
 
-    max_pk = _array_sizes(config)[1]
-    t_del_arr = np.full(max_pk, np.nan)
+    _, max_pk, _, slot_dtype = _array_sizes(config)
+    slot_arr = np.full(max_pk, -1, dtype=slot_dtype)
     outcome_arr = np.zeros(max_pk, dtype=np.int8)
 
     # Packets admitted (k_tab) and generated (g_tab) by the end of each slot of the chunk
@@ -384,11 +410,11 @@ def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.n
         # Packet k completes in the first slot whose done reaches (k + 1) * pkt_bits.
         k0, head = done.item(0) // pkt_bits, done.item(n) // pkt_bits
         at = queue[:head - k0]
-        t_del_arr[at] = np.arange(c0, c0 + n).repeat(np.diff(done // pkt_bits)) * slot + slot
+        slot_arr[at] = np.arange(c0, c0 + n).repeat(np.diff(done // pkt_bits))
         outcome_arr[at] = DELIVERED
         for k1, k2 in dropped:
             at = queue[k1 - k0:k2 - k0]
-            t_del_arr[at] = np.nan
+            slot_arr[at] = -1
             outcome_arr[at] = DROPPED_HARQ
         queue, k_tab, g_tab = queue[head - k0:], k_tab[-wait - 1:], g_tab[-wait - 1:]
 
@@ -396,9 +422,7 @@ def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.n
     if n_gen > n_adm:  # what was neither settled nor queued was dropped on arrival
         outcome_arr[:n_gen][outcome_arr[:n_gen] == IN_FLIGHT] = DROPPED_BUFFER
         outcome_arr[queue] = IN_FLIGHT
-    t_gen = np.arange(n_gen, dtype=np.float64)
-    t_gen *= interarrival  # bit-equal to n * interarrival
-    return t_gen, t_del_arr[:n_gen], outcome_arr[:n_gen]
+    return slot_arr[:n_gen], outcome_arr[:n_gen]
 
 
 def summarize(log: MetricsLog) -> Summary:
@@ -411,10 +435,11 @@ def summarize(log: MetricsLog) -> Summary:
     window = log.config.sim_window
     throughput = float(delivered * log.packet_bits) / window if window > 0 else 0.0
     if delivered:
-        lat, at = log.t_deliver[delivered_mask], 0  # the one latency-sized array
-        for r0 in range(0, n, _WRITE_ROWS):  # less t_gen, a chunk at a time
-            t_gen = log.t_gen[r0:r0 + _WRITE_ROWS][delivered_mask[r0:r0 + _WRITE_ROWS]]
-            lat[at:at + len(t_gen)] -= t_gen
+        lat, at = np.empty(delivered), 0  # the one latency-sized array, a chunk at a time
+        for r0 in range(0, n, _WRITE_ROWS):
+            mask = delivered_mask[r0:r0 + _WRITE_ROWS]
+            t_gen, t_deliver = (c[mask] for c in log.columns(r0, r0 + _WRITE_ROWS))
+            lat[at:at + len(t_gen)] = t_deliver - t_gen
             at += len(t_gen)
         mean_lat = float(lat.mean())  # before the order statistics reorder lat
         median_lat = float(np.median(lat, overwrite_input=True))
@@ -490,9 +515,10 @@ def write_packet_log(log: MetricsLog, path) -> None:
         for s0 in range(0, log.n_packets, _WRITE_ROWS):
             rows = slice(s0, s0 + _WRITE_ROWS)
             seq = np.arange(s0, min(s0 + _WRITE_ROWS, log.n_packets))
-            gen_width, put_gen = _float_field(log.t_gen[rows])
+            t_gen, t_deliver = log.columns(s0, s0 + _WRITE_ROWS)
+            gen_width, put_gen = _float_field(t_gen)
             # A slot delivers at one time, so format each distinct time once.
-            t_del, inverse = np.unique(log.t_deliver[rows], return_inverse=True)
+            t_del, inverse = np.unique(t_deliver, return_inverse=True)
             del_width, put_del = _float_field(t_del)
             put_del(t_del := np.zeros((len(t_del), del_width), np.uint8))
             edges = np.cumsum([0, len(str(seq[-1])), 1, gen_width, 1, del_width, tails.shape[1]])

@@ -18,11 +18,21 @@ from uavlink.simulation import (
     DELIVERED,
     DROPPED_BUFFER,
     DROPPED_HARQ,
+    SAMPLE_DTYPE,
     _T_EPS,
+    MetricsLog,
     ScenarioConfig,
     _array_sizes,
     _packet_bits,
 )
+
+
+def columns_of(config: ScenarioConfig, deliver_slot, outcome) -> tuple[np.ndarray, ...]:
+    """``simulation.mac_pass``'s (deliver_slot, outcome) as this oracle's three columns:
+    t_gen and t_deliver rebuilt whole by ``MetricsLog.columns``, and outcome."""
+    log = MetricsLog(config, deliver_slot, outcome, _packet_bits(config),
+                     np.recarray(0, dtype=SAMPLE_DTYPE))
+    return (*log.columns(), outcome)
 
 
 def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.ndarray, ...]:

@@ -193,7 +193,7 @@ def test_criterion_7_property_suite(monkeypatch):
     cfg_a = build_scenario(TRACE, "mmwave", "16x4", 20e6, "on_premise", 77, 1.0)
     cfg_b = build_scenario(TRACE, "mmwave", "16x4", 20e6, "on_premise", 77, 1.0)
     log_a, log_b = run(cfg_a), run(cfg_b)
-    assert np.array_equal(log_a.t_deliver, log_b.t_deliver, equal_nan=True)
+    assert np.array_equal(log_a.deliver_slot, log_b.deliver_slot)
     assert np.array_equal(log_a.outcome, log_b.outcome)
     assert [s.snr for s in log_a.snr_series] == [s.snr for s in log_b.snr_series]
 

@@ -14,7 +14,7 @@ from uavlink.campaign import (
     write_report_csv,
 )
 from uavlink.missions import MissionArchetype, synth_trace
-from uavlink.simulation import bs_position_for, run
+from uavlink.simulation import bs_position_for, physical_memory, run, run_bytes
 
 MISSIONS = [MissionArchetype(k, duration=30.0) for k in (
     "overwatch_orbit",
@@ -198,6 +198,26 @@ class TestPoolSize:
     def test_rejects_fewer_than_one(self):
         with pytest.raises(ValueError, match="at least 1"):
             pool_size(0, 4)
+
+    def test_cells_that_do_not_fit_together_run_one_at_a_time(self, monkeypatch, tmp_path):
+        # Built, never run: two 1 Gb/s cells, 1000 and 1001 Mb/s, whose window makes
+        # each need about 0.6 of this host's physical memory. Each passes the
+        # refusal of a single run, but two at once would not fit.
+        physical = physical_memory()  # os.sysconf's page size times physical pages
+        gigabit = dict(missions=MISSIONS[:1], profiles=["mmwave"], source_rates=[1000e6, 1001e6])
+        per_s = sum(run_bytes(small_matrix(**gigabit, sim_window=1.0).cells[1][2]))
+        matrix = small_matrix(**gigabit, sim_window=round(0.6 * physical / per_s))
+        need = [sum(run_bytes(config)) for *_, config in matrix.cells]
+        assert all(0.55 * physical < b < 0.65 * physical for b in need)
+        assert pool_size(2, 2) == min(2, os.cpu_count() or 1)
+        assert pool_size(2, 2, max(need)) == 1
+        # So run_matrix starts no pool and runs the cells (stubs here) one at a time.
+        monkeypatch.setattr(campaign, "ProcessPoolExecutor",
+                            lambda **_: pytest.fail("a pool was started"))
+        monkeypatch.setattr(campaign, "_execute_cell",
+                            lambda job: ReportRow(*job[1], 0.0, 0.0, 0.0, 0.0))
+        rows, errors = run_matrix(matrix, tmp_path, workers=2)
+        assert (len(rows), errors) == (2, [])
 
 
 class TestReport:

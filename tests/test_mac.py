@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mac_oracle import columns_of
 from mac_oracle import mac_pass as oracle_mac_pass
 from uavlink import simulation
 from uavlink.campaign import build_scenario
@@ -63,11 +64,19 @@ def around_thresholds(n, seed, centre=20, spread=4.0, outage_frac=0.05):
     return snr
 
 
+def mac_columns(cfg, snr, seed):
+    """(t_gen, t_deliver, outcome) of mac_pass, its delivery slots checked and rebuilt."""
+    deliver_slot, outcome = mac_pass(cfg, snr, random.Random(seed))
+    assert deliver_slot.dtype == np.int32
+    assert np.array_equal(deliver_slot < 0, outcome != DELIVERED)
+    return columns_of(cfg, deliver_slot, outcome)
+
+
 def assert_matches_oracle(cfg, snr, seed):
-    """mac_pass and the oracle give byte-equal columns; returns mac_pass's."""
-    got = mac_pass(cfg, snr, random.Random(seed))
+    """mac_pass's rebuilt columns and the oracle's are byte-equal; returns mac_pass's."""
+    got = mac_columns(cfg, snr, seed)
     want = oracle_mac_pass(cfg, snr, random.Random(seed))
-    for g, w in zip(got, want):
+    for g, w in zip(got, want, strict=True):
         assert g.dtype == w.dtype
         assert g.tobytes() == w.tobytes()
     return got
@@ -342,7 +351,7 @@ class TestSweepMatrixCells:
         snr, _ = channel_pass(cfg, shadow)
         t_gen, t_deliver, outcome = assert_matches_oracle(cfg, snr, harq_seed)
         log = run(cfg)
-        assert log.t_deliver.tobytes() == t_deliver.tobytes()
+        assert log.columns()[1].tobytes() == t_deliver.tobytes()
         assert log.outcome.tobytes() == outcome.tobytes()
         assert (outcome == DROPPED_BUFFER).sum() > len(t_gen) // 2  # saturated
         assert (outcome == DELIVERED).sum() > 1000
@@ -384,7 +393,7 @@ def mac_runs(draw):
                             draw(st.integers(0, len(THRESHOLDS) - 1)),
                             draw(st.floats(0.0, 8.0)), draw(st.sampled_from([0.0, 0.05, 0.5])))
     harq_seed = draw(st.integers(0, 2**32 - 1))
-    return cfg, snr, harq_seed, mac_pass(cfg, snr, random.Random(harq_seed))
+    return cfg, snr, harq_seed, mac_columns(cfg, snr, harq_seed)
 
 
 class TestProperties:
@@ -434,5 +443,5 @@ class TestProperties:
     @given(mac_runs())
     def test_rerun_is_bit_identical(self, case):
         cfg, snr, harq_seed, first = case
-        again = mac_pass(cfg, snr, random.Random(harq_seed))
+        again = mac_columns(cfg, snr, harq_seed)
         assert [c.tobytes() for c in again] == [c.tobytes() for c in first]

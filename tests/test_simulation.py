@@ -18,6 +18,7 @@ from channel_oracle import (
     geometry_toward,
     interp_positions,
 )
+from mac_oracle import columns_of
 from uavlink import simulation
 from uavlink.beamforming import DEFAULT_UPDATE_PERIOD, ArrayConfig, array_basis
 from uavlink.campaign import build_scenario
@@ -61,12 +62,12 @@ def quick_log():
 class TestArrivals:
     def test_interarrival_10mbps(self):
         log = run(scenario(rate=10e6, window=0.1))
-        diffs = np.diff(log.t_gen)
+        diffs = np.diff(log.columns()[0])
         assert np.allclose(diffs, 1.2e-3, rtol=1e-9)
 
     def test_interarrival_1000mbps(self):
         log = run(scenario(rate=1000e6, window=0.01))
-        diffs = np.diff(log.t_gen)
+        diffs = np.diff(log.columns()[0])
         assert np.allclose(diffs, 12e-6, rtol=1e-9)
 
     def test_zero_window_empty_log(self):
@@ -99,19 +100,22 @@ class TestInvariants:
         assert s.min_snr_db < log.config.profile.mcs_table[0].snr_threshold
         assert s.generated == s.delivered + s.dropped_buffer + s.dropped_harq + s.in_flight
         mask = log.outcome == DELIVERED
-        assert np.all(log.t_deliver[mask] > log.t_gen[mask])
-        assert np.all(np.isnan(log.t_deliver[log.outcome == DROPPED_HARQ]))
+        t_gen, t_deliver = log.columns()
+        assert np.all(t_deliver[mask] > t_gen[mask])
+        assert np.all(np.isnan(t_deliver[log.outcome == DROPPED_HARQ]))
 
     def test_latency_floor_one_slot(self, quick_log):
         slot = quick_log.config.profile.slot_duration
         mask = quick_log.outcome == DELIVERED
-        lat = quick_log.t_deliver[mask] - quick_log.t_gen[mask]
+        t_gen, t_deliver = quick_log.columns()
+        lat = t_deliver[mask] - t_gen[mask]
         assert lat.min() >= slot - 1e-12
 
     def test_lte_latency_floor_includes_grant_cycle(self):
         log = run(scenario(profile="lte", window=1.0))
         mask = log.outcome == DELIVERED
-        lat = log.t_deliver[mask] - log.t_gen[mask]
+        t_gen, t_deliver = log.columns()
+        lat = t_deliver[mask] - t_gen[mask]
         assert lat.min() >= log.config.profile.scheduling_delay
 
     def test_throughput_never_exceeds_offered_or_peak(self):
@@ -142,8 +146,9 @@ class TestInvariants:
     def test_deterministic_rerun_bit_identical(self, tmp_path):
         a = run(scenario(window=1.0, seed=123))
         b = run(scenario(window=1.0, seed=123))
-        assert np.array_equal(a.t_gen, b.t_gen)
-        assert np.array_equal(a.t_deliver, b.t_deliver, equal_nan=True)
+        for col_a, col_b in zip(a.columns(), b.columns(), strict=True):
+            assert np.array_equal(col_a, col_b, equal_nan=True)
+        assert np.array_equal(a.deliver_slot, b.deliver_slot)
         assert np.array_equal(a.outcome, b.outcome)
         assert [s.snr for s in a.snr_series] == [s.snr for s in b.snr_series]
         assert summarize(a) == summarize(b)
@@ -254,7 +259,7 @@ class TestMacPass:
 
     def mac(self, snr, rate=10e6, seed=5):
         cfg = scenario(rate=rate, window=len(snr) * self.SLOT)
-        return mac_pass(cfg, np.asarray(snr, dtype=float), random.Random(seed))
+        return columns_of(cfg, *mac_pass(cfg, np.asarray(snr, dtype=float), random.Random(seed)))
 
     def first_slot_at_or_after(self, t_gen):
         return np.ceil((t_gen - 1e-9) / self.SLOT)
@@ -335,16 +340,32 @@ class TestMacPass:
         assert in_flight.min() > resolved.max()
 
 
-def manual_log(t_gen, t_deliver, outcome, size=1000, window=4.0):
-    cfg = scenario(window=window)
+def manual_log(deliver_slot, outcome, rate=10e6, size=1000, window=4.0):
+    """A log of 125 us slots whose packet n is sent at n * payload bits / rate."""
     return MetricsLog(
-        config=cfg,
-        t_gen=np.array(t_gen, dtype=float),
-        t_deliver=np.array(t_deliver, dtype=float),
+        config=scenario(rate=rate, window=window),
+        deliver_slot=np.array(deliver_slot, dtype=np.int32),
         outcome=np.array(outcome, dtype=np.int8),
         packet_bits=size,
         snr_series=np.recarray(0, dtype=SAMPLE_DTYPE),
     )
+
+
+@dataclasses.dataclass
+class GivenColumns(MetricsLog):
+    """A log whose t_gen and t_deliver are held as given, so they may be set to
+    floats no run produces (what the writers must still write as csv.writer does)."""
+
+    t_gen: np.ndarray = None
+    t_deliver: np.ndarray = None
+
+    def columns(self, r0=0, r1=None):
+        return self.t_gen[r0:r1], self.t_deliver[r0:r1]
+
+
+def given_columns(log):
+    return GivenColumns(log.config, log.deliver_slot, log.outcome, log.packet_bits,
+                        log.snr_series, *log.columns())
 
 
 class TestMetrics:
@@ -360,54 +381,85 @@ class TestMetrics:
         log = run(cfg)
         delivered = log.outcome == DELIVERED
         expected = DEFAULT_BUFFER_LIMIT * 8 / 75.2e6
+        t_gen, t_deliver = log.columns()
         for t0 in (2.0, 4.0):
-            in_bin = delivered & (log.t_gen >= t0) & (log.t_gen < t0 + 2.0)
-            mean_lat = float(np.mean(log.t_deliver[in_bin] - log.t_gen[in_bin]))
+            in_bin = delivered & (t_gen >= t0) & (t_gen < t0 + 2.0)
+            mean_lat = float(np.mean(t_deliver[in_bin] - t_gen[in_bin]))
             assert mean_lat == pytest.approx(expected, rel=0.10)
 
     def test_summarize_matches_hand_computation(self):
-        log = manual_log(
-            [0.0, 1.0, 2.0, 3.0],
-            [0.5, math.nan, 2.25, math.nan],
-            [DELIVERED, DROPPED_BUFFER, DELIVERED, IN_FLIGHT],
-        )
+        # Sent at 0, 1.2, 2.4 and 3.6 ms; packet 0 delivered at the end of slot 3
+        # (0.5 ms), packet 2 at the end of slot 21 (2.75 ms).
+        log = manual_log([3, -1, 21, -1], [DELIVERED, DROPPED_BUFFER, DELIVERED, IN_FLIGHT])
+        t_gen, t_deliver = log.columns()
+        assert t_gen.tolist() == pytest.approx([0.0, 1.2e-3, 2.4e-3, 3.6e-3])
+        assert t_deliver.tolist() == pytest.approx([0.5e-3, math.nan, 2.75e-3, math.nan],
+                                                   nan_ok=True)
         s = summarize(log)
         assert (s.generated, s.delivered, s.dropped_buffer, s.in_flight) == (4, 2, 1, 1)
         assert s.throughput_bps == pytest.approx(2000 / 4.0)
-        assert s.mean_latency_s == pytest.approx((0.5 + 0.25) / 2)
-        assert s.median_latency_s == pytest.approx(0.375)
-        assert s.p99_latency_s == pytest.approx(0.25 + 0.99 * 0.25)
+        assert s.mean_latency_s == pytest.approx((0.5e-3 + 0.35e-3) / 2)
+        assert s.median_latency_s == pytest.approx(0.425e-3)
+        assert s.p99_latency_s == pytest.approx(0.35e-3 + 0.99 * 0.15e-3)
         assert s.loss_fraction == pytest.approx(0.25)
 
     @settings(deadline=None, derandomize=True, max_examples=60)
     @given(n=st.integers(1, 3 * simulation._WRITE_ROWS), delivered=st.sampled_from(["one", "many"]),
-           grid=st.sampled_from([0.0, 1e-3, 0.1]), seed=st.integers(0, 2**32 - 1))
-    def test_latency_statistics_equal_the_two_copy_expression(self, n, delivered, grid, seed):
-        # summarize subtracts t_gen in chunks from one copy of the delivery
-        # times and lets the order statistics reorder it; mean, median and p99
-        # stay those of t_deliver[mask] - t_gen[mask], bit for bit. A coarse
-        # grid of latencies gives ties; n spans several chunks.
+           rate=st.sampled_from([12e6, 10e6, 1e9]), spread=st.sampled_from([1, 8, 2400]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_latency_statistics_equal_the_two_copy_expression(self, n, delivered, rate, spread,
+                                                              seed):
+        # summarize rebuilds t_gen and t_deliver a chunk at a time into one
+        # array of latencies and lets the order statistics reorder it; mean,
+        # median and p99 stay those of t_deliver[mask] - t_gen[mask] over the
+        # whole columns, bit for bit. Each packet is delivered 0 to spread - 1
+        # slots after the first slot that starts at or after it is sent; at
+        # 12 Mb/s a packet is sent every 8 slots, and a small spread gives
+        # ties. n spans several chunks.
         rng = np.random.default_rng(seed)
-        t_gen = np.sort(rng.uniform(0.0, 4.0, n))
-        lat = rng.uniform(1e-4, 0.3, n)
-        if grid:
-            lat = np.round(lat / grid) * grid + 1e-4
+        sent_in = np.ceil(np.arange(n) * (12000 / rate) / 125e-6).astype(np.int64)
         outcome = rng.choice([DELIVERED, DROPPED_BUFFER, DROPPED_HARQ, IN_FLIGHT], n)
         if delivered == "one":
             outcome[:] = DROPPED_BUFFER
         outcome[rng.integers(n)] = DELIVERED
         mask = outcome == DELIVERED
-        log = manual_log(t_gen, np.where(mask, t_gen + lat, math.nan), outcome)
-        want = log.t_deliver[mask] - log.t_gen[mask]
+        log = manual_log(np.where(mask, sent_in + rng.integers(0, spread, n), -1), outcome, rate)
+        t_gen, t_deliver = log.columns()
+        want = t_deliver[mask] - t_gen[mask]
         s = summarize(log)
         assert s.mean_latency_s == float(want.mean())
         assert s.median_latency_s == float(np.median(want))
         assert s.p99_latency_s == float(np.percentile(want, 99))
 
     def test_empty_summary_flag(self):
-        log = manual_log([], [], [])
+        log = manual_log([], [])
         s = summarize(log)
         assert s == Summary(True, 0, 0, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+class TestPacketColumns:
+    """t_gen and t_deliver are rebuilt from the delivery slot each packet keeps."""
+
+    def test_chunks_concatenate_to_the_whole_columns(self):
+        log = run(scenario(antennas="4x4", rate=800e6, window=1.0, seed=11,
+                           placement="distant_2km"))
+        n = log.n_packets
+        assert {DELIVERED, DROPPED_BUFFER} <= set(log.outcome.tolist())
+        borders = [0, 1, 2, 999, simulation._WRITE_ROWS, simulation._WRITE_ROWS + 1, n - 1, n + 77]
+        assert borders == sorted(borders)
+        chunks = [log.columns(r0, r1) for r0, r1 in zip(borders, borders[1:])]
+        for k, whole in enumerate(log.columns()):
+            assert len(whole) == n
+            assert np.concatenate([c[k] for c in chunks]).tobytes() == whole.tobytes()
+
+    def test_arrays_hold_5_bytes_a_packet(self):
+        log = run(scenario(rate=1e9, window=0.5))
+        max_pk = simulation._array_sizes(log.config)[1]  # the rows mac_pass allocates
+        held = {f.name: getattr(log, f.name) for f in dataclasses.fields(log)}
+        held = [a if a.base is None else a.base for name, a in held.items()
+                if isinstance(a, np.ndarray) and name != "snr_series"]
+        assert sum(a.nbytes for a in held) == 5 * max_pk  # deliver_slot and outcome
+        assert 41_600 < log.n_packets <= max_pk < 1.001 * log.n_packets
 
 
 PYTHON_SUM = sum
@@ -443,7 +495,7 @@ class TestLeftToRightSums:
     def test_mean_snr(self, monkeypatch):
         samples = np.zeros(3, dtype=SAMPLE_DTYPE).view(np.recarray)
         samples.snr = CANCELLING
-        log = dataclasses.replace(manual_log([], [], []), snr_series=samples)
+        log = dataclasses.replace(manual_log([], []), snr_series=samples)
         monkeypatch.setattr(builtins, "sum", compensated_sum)
         assert summarize(log).mean_snr_db == 0.0
 
@@ -460,7 +512,7 @@ def oracle_write_packet_log(log, path):
         writer.writerow(PACKET_CSV_HEADER)
         writer.writerows(
             (i, tg, "" if math.isnan(td) else td, log.packet_bits, OUTCOME_NAMES[o])
-            for i, (tg, td, o) in enumerate(_rows(log.t_gen, log.t_deliver, log.outcome))
+            for i, (tg, td, o) in enumerate(_rows(*log.columns(), log.outcome))
         )
 
 
@@ -541,10 +593,8 @@ def gigabit_pattern_log(n, seed=4):
     """n packets sent every 12 us, of every outcome, each delivered one to two 125 us
     slots after it was sent, in runs that share a delivery time as the MAC writes them."""
     outcome = np.random.default_rng(seed).integers(0, len(OUTCOME_NAMES), n)
-    t_gen = np.arange(n) * 1.2e-5
-    t_deliver = np.where(outcome == DELIVERED, np.ceil(t_gen / 125e-6) * 125e-6 + 125e-6,
-                         math.nan)
-    return manual_log(t_gen, t_deliver, outcome, size=12224)
+    sent_in = np.ceil(np.arange(n) * 1.2e-5 / 125e-6)  # the first slot starting at or after
+    return manual_log(np.where(outcome == DELIVERED, sent_in, -1), outcome, rate=1e9, size=12224)
 
 
 def lawnmower_log():
@@ -554,13 +604,13 @@ def lawnmower_log():
 
 def no_delivery_log():
     log = gigabit_pattern_log(simulation._WRITE_ROWS + 700)
-    log.t_deliver[:] = math.nan
+    log.deliver_slot[:] = -1
     log.outcome[log.outcome == DELIVERED] = DROPPED_HARQ
     return log
 
 
 def seventeen_digit_log():  # every t_gen goes to repr
-    log = gigabit_pattern_log(simulation._WRITE_ROWS + 300)
+    log = given_columns(gigabit_pattern_log(simulation._WRITE_ROWS + 300))
     log.t_gen[:] = np.sort(seventeen_digit_floats(log.n_packets, seed=8))
     return log
 
@@ -576,7 +626,7 @@ PACKET_LOGS = {
 
 class TestCsvLogs:
     def test_packet_log_bytes_without_packets(self, tmp_path):
-        log = manual_log([], [], [])
+        log = manual_log([], [])
         assert_same_bytes(write_packet_log, oracle_write_packet_log, log, tmp_path)
         header = b"seq,t_gen_s,t_deliver_s,size_bits,outcome\r\n"
         assert (tmp_path / "got.csv").read_bytes() == header
@@ -584,7 +634,7 @@ class TestCsvLogs:
     def test_packet_log_bytes_over_several_chunks(self, tmp_path):
         # More than two 8192-row chunks, every outcome, NaN delivery times, and
         # delivery times shared by runs of packets as the MAC stage writes them.
-        log = gigabit_pattern_log(2 * simulation._WRITE_ROWS + 1234)
+        log = given_columns(gigabit_pattern_log(2 * simulation._WRITE_ROWS + 1234))
         log.t_gen[:len(ODD_FLOATS)] = ODD_FLOATS
         log.t_deliver[-len(ODD_FLOATS):] = ODD_FLOATS
         assert_same_bytes(write_packet_log, oracle_write_packet_log, log, tmp_path)
@@ -612,9 +662,9 @@ class TestCsvLogs:
             rec[name] = rng.normal(0.0, 30.0, len(rec))
         rec.snr[:len(ODD_FLOATS)] = ODD_FLOATS
         rec.tx_gain[:len(ODD_FLOATS)] = np.negative(ODD_FLOATS)
-        log = dataclasses.replace(manual_log([], [], []), snr_series=rec)
+        log = dataclasses.replace(manual_log([], []), snr_series=rec)
         assert_same_bytes(write_snr_trace, oracle_write_snr_trace, log, tmp_path)
-        empty = manual_log([], [], [])
+        empty = manual_log([], [])
         assert_same_bytes(write_snr_trace, oracle_write_snr_trace, empty, tmp_path)
 
     def test_packet_log_round_trip(self, quick_log, tmp_path):
@@ -626,7 +676,7 @@ class TestCsvLogs:
             rows = list(csv.DictReader(fh))
         assert len(rows) == quick_log.n_packets
         first = rows[0]
-        assert float(first["t_gen_s"]) == quick_log.t_gen[0]
+        assert float(first["t_gen_s"]) == quick_log.columns()[0][0]
         assert first["outcome"] == "delivered"
         assert int(first["size_bits"]) == 1528 * 8
 
@@ -657,19 +707,36 @@ class TestConfigValidation:
 
     def test_refusal_counts_the_temporaries_of_summarize(self, monkeypatch):
         # 1 s at 10 Mb/s: 8000 slots, 835 packet rows, 200 recorded samples. A
-        # machine with a byte less than the run and summarize need refuses it
-        # up front, before the channel stage allocates anything.
+        # machine with a byte less than the run and summarize need refuses its
+        # config as it is built, before the channel stage allocates anything.
         cfg = scenario(rate=10e6, window=1.0)
-        arrays = 835 * 17 + 8000 * 8 + 200 * SAMPLE_DTYPE.itemsize
-        temporaries = 835 * (1 + 8) + 200 * 32  # delivered mask, latency copy, list of SNRs
+        arrays = 835 * (4 + 1) + 8000 * 8 + 200 * SAMPLE_DTYPE.itemsize  # deliver_slot, outcome
+        temporaries = 835 * (1 + 8) + 200 * 32  # delivered mask, latencies, list of SNRs
         for physical in (arrays + temporaries - 1, arrays + temporaries):
             monkeypatch.setattr(simulation, "os", SimpleNamespace(
                 sysconf=lambda name, pages=physical: pages if name == "SC_PHYS_PAGES" else 1))
             if physical < arrays + temporaries:
                 with pytest.raises(ValueError, match="physical memory"):
-                    run(cfg)
+                    dataclasses.replace(cfg)
             else:
-                assert summarize(run(cfg)).generated == 834
+                assert summarize(run(dataclasses.replace(cfg))).generated == 834
+
+    def test_delivery_slots_are_int64_from_2_to_the_31_slots(self, monkeypatch):
+        # Sized, not run: a host with 2**50 bytes of memory, a 1 kb/s source.
+        monkeypatch.setattr(simulation, "os", SimpleNamespace(
+            sysconf=lambda name: 2**50 if name == "SC_PHYS_PAGES" else 1))
+        slot = mmwave_profile().slot_duration
+        for n_slots, dtype, width in ((2**31 - 1, np.int32, 4), (2**31, np.int64, 8)):
+            cfg = scenario(rate=1e3, window=n_slots * slot)
+            n, max_pk, _, slot_dtype = simulation._array_sizes(cfg)
+            assert (n, slot_dtype) == (n_slots, dtype)
+            assert simulation.run_bytes(cfg)[0] == max_pk * (width + 1 + 1 + 8)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_shadowing_sigma(self, sigma):
+        # Refused as the config is built, by the rule ShadowingField applies.
+        with pytest.raises(ValueError, match="sigma must be non-negative and finite"):
+            dataclasses.replace(scenario(), shadowing_sigma=sigma)
 
     def test_default_bs_position_is_centroid_at_25m(self):
         cfg = ScenarioConfig(
