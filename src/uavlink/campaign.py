@@ -189,12 +189,12 @@ def run_matrix(
     return rows, errors
 
 
-def pool_size(workers: int, cells: int, cell_bytes: float = 0.0) -> int:
+def pool_size(workers: int, cells: int, cell_bytes: float) -> int:
     """Worker processes for a matrix: no more than its cells, this host's CPUs, or the
     cells of ``cell_bytes`` each (see ``run_bytes``) that fit in physical memory at once."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    fit = int(physical_memory() // cell_bytes) if cell_bytes else cells
+    fit = int(physical_memory() // cell_bytes)
     return max(1, min(workers, cells, os.cpu_count() or 1, fit))
 
 

@@ -29,12 +29,6 @@ class LinkProfile:
             raise ValueError("carrier_freq and bandwidth must be positive")
 
 
-def check_sigma(sigma: float) -> None:
-    """The shadowing ``sigma`` rule: ValueError unless it is non-negative and finite."""
-    if not 0 <= sigma < math.inf:
-        raise ValueError(f"sigma must be non-negative and finite, got {sigma}")
-
-
 @dataclass
 class ShadowingField:
     """Log-normal shadowing, spatially correlated along the query path.
@@ -50,7 +44,8 @@ class ShadowingField:
     seed: int = 0
 
     def __post_init__(self):
-        check_sigma(self.sigma)
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be non-negative and finite, got {self.sigma}")
         self._rng = np.random.default_rng(self.seed)
         self._last = None  # [x, y, z] of the previous query, each of shape (1,)
         self._last_val = 0.0
@@ -63,8 +58,6 @@ class ShadowingField:
         """
         pos = (x, y, z)
         n = len(x)
-        if self.sigma == 0.0:
-            return np.zeros(n)
         last = [c[:1] for c in pos] if self._last is None else self._last
         dx, dy, dz = (np.diff(c, prepend=p) for c, p in zip(pos, last))
         # Decay exponent of each step; the first query ever decays fully (rho = 0).

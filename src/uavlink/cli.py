@@ -133,8 +133,7 @@ def cmd_synth_trace(args) -> int:
 
 def cmd_simulate(args) -> int:
     if not args.out:
-        print("simulate needs --out (flag or config file)", file=sys.stderr)
-        return 1
+        raise ValueError("simulate needs --out (flag or config file)")
     if not 0 <= args.decimate_s < math.inf:
         raise ValueError(f"decimate_s must be non-negative and finite, got {args.decimate_s}")
     if args.trace:
@@ -146,8 +145,7 @@ def cmd_simulate(args) -> int:
         trace = synth_trace(archetype_by_name(args.mission), seed=args.seed)
         label = args.mission.replace("-", "_")
     else:
-        print("simulate needs --trace or --mission", file=sys.stderr)
-        return 1
+        raise ValueError("simulate needs --trace or --mission")
     config = build_scenario(
         trace,
         args.profile,

@@ -4,7 +4,6 @@ public-safety traces, one generator per mission archetype."""
 from __future__ import annotations
 
 import math
-import os
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -14,6 +13,7 @@ from typing import Iterator
 import numpy as np
 
 from .mobility import FlightTrace, GeoPoint
+from .simulation import physical_memory
 
 MISSION_KINDS = (
     "overwatch_orbit",
@@ -26,7 +26,8 @@ MAX_UAV_SPEED = 20.0  # m/s, small-UAV envelope
 WAYPOINT_SPACING = 1.0  # s between generated waypoints
 LAWNMOWER_LANES = 9  # sweep lines across the area
 # Peak memory per synthesized waypoint, the trace's columns and step velocities
-# included; tracemalloc reads 104.0 B over a 200 001-waypoint synthesis (56.0 B kept).
+# included; tracemalloc reads 104.0 B over a 200 001-waypoint synthesis (56.0 B kept)
+# and 67.6 B writing it (mobility.write_trace_csv, 8192 rows at a time).
 WAYPOINT_BYTES = 112
 
 # Arbitrary geodetic anchor for synthesized traces; only the local frame matters.
@@ -61,7 +62,7 @@ def synth_trace(archetype: MissionArchetype, seed: int = 0) -> FlightTrace:
     before allocating them, if the waypoints would not fit in physical memory.
     """
     n = int(archetype.duration / WAYPOINT_SPACING) + 1
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    physical = physical_memory()
     if n * WAYPOINT_BYTES > physical:
         raise ValueError(f"mission duration {archetype.duration} s needs {n} waypoints, "
                          f"more than fit in the {physical} bytes of physical memory")

@@ -5,8 +5,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -15,6 +13,7 @@ import numpy as np
 M_PER_DEG = 111_000.0
 
 TRACE_CSV_HEADER = ("t_s", "lat_deg", "lon_deg", "alt_m")
+_WRITE_ROWS = 8192  # CSV rows per write, as simulation's writers
 
 
 class TraceParseError(ValueError):
@@ -83,7 +82,7 @@ class FlightTrace:
 
     def centroid(self) -> tuple[float, float, float]:
         # Left to right: np.mean sums pairwise, 3.12's sum compensates; both move the last bit.
-        return tuple(reduce(add, c.tolist(), 0.0) / len(c) for c in (self.x, self.y, self.z))
+        return tuple(float(np.add.accumulate(c)[-1]) / len(c) for c in (self.x, self.y, self.z))
 
 
 def latlon_to_xy(p: GeoPoint, ref: GeoPoint) -> tuple[float, float]:
@@ -129,7 +128,7 @@ def parse_trace(rows: Iterable[Mapping[str, str]]) -> FlightTrace:
 
 
 def read_trace_csv(path) -> FlightTrace:
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # with or without a BOM
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != list(
             TRACE_CSV_HEADER
@@ -143,12 +142,14 @@ def read_trace_csv(path) -> FlightTrace:
 
 def write_trace_csv(trace: FlightTrace, path) -> None:
     """Emit the trace in the geodetic CSV format, inverting the projection,
-    as ``csv.writer`` writes repr floats."""
-    lat, lon = xy_to_latlon(trace.x, trace.y, trace.origin)
+    as ``csv.writer`` writes repr floats, a chunk of rows at a time."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACE_CSV_HEADER) + "\r\n")
-        fh.write("".join(map("{},{},{},{}\r\n".format, trace.t.tolist(), lat.tolist(),
-                             lon.tolist(), trace.z.tolist())))
+        for s0 in range(0, len(trace.t), _WRITE_ROWS):
+            rows = slice(s0, s0 + _WRITE_ROWS)
+            lat, lon = xy_to_latlon(trace.x[rows], trace.y[rows], trace.origin)
+            fh.write("".join(map("{},{},{},{}\r\n".format, trace.t[rows].tolist(), lat.tolist(),
+                                 lon.tolist(), trace.z[rows].tolist())))
 
 
 def decimate(trace: FlightTrace, min_spacing: float) -> FlightTrace:

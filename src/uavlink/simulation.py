@@ -8,8 +8,7 @@ import math
 import os
 import random
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
+from typing import ClassVar
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .beamforming import (
     BeamTracker,
     array_basis,
 )
-from .channel import ShadowingField, check_sigma, doppler_shift, fspl_db, noise_floor_dbm
+from .channel import ShadowingField, doppler_shift, fspl_db, noise_floor_dbm
 from .mobility import FlightTrace, TrajectorySampler
 from .phy import Outcome, RatProfile, TransportBlock, harq_step
 
@@ -28,7 +27,7 @@ DEFAULT_BS_HEIGHT = 25.0  # m
 # BS placements: offset in m along +x from the mission centroid; the first is the default.
 BS_OFFSETS = {"on_premise": 0.0, "distant_2km": 2000.0}
 DEFAULT_PAYLOAD = 1500  # bytes per source packet
-DEFAULT_HEADER_OVERHEAD = 28  # bytes, IP + UDP
+SHADOWING_SIGMA = 4.0  # dB
 DEFAULT_BUFFER_LIMIT = 1_090_000  # bytes; calibrates the saturated-queue delay
 DEFAULT_SNR_SAMPLE_INTERVAL = 5e-3  # s between recorded channel samples
 
@@ -68,12 +67,11 @@ class ScenarioConfig:
     bs_array: ArrayConfig
     uav_array: ArrayConfig
     source_rate: float  # b/s of payload bits
-    bs_position: tuple[float, float, float] | None = None  # default: the default placement
+    bs_position: tuple[float, float, float]  # see bs_position_for
     payload: int = DEFAULT_PAYLOAD  # bytes
-    header_overhead: int = DEFAULT_HEADER_OVERHEAD  # bytes
     sim_window: float = 60.0  # s
     seed: int = 0
-    shadowing_sigma: float = 4.0  # dB
+    header_overhead: ClassVar[int] = 28  # bytes, IP + UDP
 
     def __post_init__(self):
         if not (math.isfinite(self.source_rate) and self.source_rate > 0):
@@ -83,19 +81,14 @@ class ScenarioConfig:
         if not math.isfinite(self.interarrival):
             raise ValueError(f"source rate {self.source_rate / 1e6!r} Mb/s is too small: "
                              "the packet interarrival time overflows")
-        if self.header_overhead < 0:
-            raise ValueError("header_overhead must be non-negative")
         if not (math.isfinite(self.sim_window) and self.sim_window >= 0):
             raise ValueError(f"sim_window must be non-negative and finite, got {self.sim_window}")
-        check_sigma(self.shadowing_sigma)
         packet_bytes, snr_bytes = run_bytes(self)
         physical = physical_memory()
         if packet_bytes + snr_bytes > physical:
             raise ValueError(f"run needs {packet_bytes:.3g} bytes for packets and {snr_bytes:.3g} "
                              f"bytes for channel samples, more than the {physical:.3g} bytes of "
                              "physical memory")
-        if self.bs_position is None:
-            self.bs_position = bs_position_for(self.trace, next(iter(BS_OFFSETS)))
 
     @property
     def interarrival(self) -> float:  # s between packets; packet n is sent at n * interarrival
@@ -111,7 +104,6 @@ class MetricsLog:
     config: ScenarioConfig
     deliver_slot: np.ndarray  # int32 (int64 past 2**31 slots); -1 when not delivered
     outcome: np.ndarray  # int8 codes into OUTCOME_NAMES
-    packet_bits: int  # payload plus headers
     snr_series: np.recarray  # SAMPLE_DTYPE records
 
     @property
@@ -133,7 +125,6 @@ class MetricsLog:
 
 @dataclass(frozen=True)
 class Summary:
-    empty: bool
     generated: int
     delivered: int
     dropped_buffer: int
@@ -175,8 +166,8 @@ def run_bytes(config: ScenarioConfig) -> tuple[float, float]:
     n_slots, max_pk, record_every, slot_dtype = _array_sizes(config)
     # deliver_slot and outcome; summarize's delivered mask and latencies.
     packet_bytes = max_pk * (slot_dtype.itemsize + 1 + 1 + 8.0)
-    # Per-slot SNR; each recorded sample, and summarize's list of its SNR (a float and a pointer).
-    snr_bytes = n_slots * 8.0 + -(-n_slots // record_every) * (SAMPLE_DTYPE.itemsize + 32.0)
+    # Per-slot SNR; each recorded sample, and summarize's running sum of their SNR.
+    snr_bytes = n_slots * 8.0 + -(-n_slots // record_every) * (SAMPLE_DTYPE.itemsize + 8.0)
     return packet_bytes, snr_bytes
 
 
@@ -190,11 +181,11 @@ def run(config: ScenarioConfig) -> MetricsLog:
     # Independent RNG streams: shadowing draws must not shift when HARQ
     # consumption changes between configs sharing a seed.
     seeder = random.Random(config.seed)
-    shadow = ShadowingField(sigma=config.shadowing_sigma, seed=seeder.getrandbits(64))
+    shadow = ShadowingField(sigma=SHADOWING_SIGMA, seed=seeder.getrandbits(64))
     harq_rng = random.Random(seeder.getrandbits(64))
     snr, samples = channel_pass(config, shadow)
     deliver_slot, outcome = mac_pass(config, snr, harq_rng)
-    return MetricsLog(config, deliver_slot, outcome, _packet_bits(config), samples)
+    return MetricsLog(config, deliver_slot, outcome, samples)
 
 
 def channel_pass(config: ScenarioConfig, shadow: ShadowingField) -> tuple[np.ndarray, np.recarray]:
@@ -428,12 +419,12 @@ def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.n
 def summarize(log: MetricsLog) -> Summary:
     """Mission-level statistics, recomputed from the packet columns every call."""
     n = log.n_packets
-    snrs = log.snr_series.snr.tolist()
+    snr = log.snr_series.snr
     counts = np.bincount(log.outcome, minlength=len(OUTCOME_NAMES)).tolist()
     in_flight, delivered, dropped_buffer, dropped_harq = counts
     delivered_mask = log.outcome == DELIVERED
     window = log.config.sim_window
-    throughput = float(delivered * log.packet_bits) / window if window > 0 else 0.0
+    throughput = float(delivered * _packet_bits(log.config)) / window if window > 0 else 0.0
     if delivered:
         lat, at = np.empty(delivered), 0  # the one latency-sized array, a chunk at a time
         for r0 in range(0, n, _WRITE_ROWS):
@@ -447,7 +438,6 @@ def summarize(log: MetricsLog) -> Summary:
     else:
         mean_lat = median_lat = p99_lat = 0.0
     return Summary(
-        empty=n == 0 and not snrs,
         generated=n,
         delivered=delivered,
         dropped_buffer=dropped_buffer,
@@ -458,8 +448,9 @@ def summarize(log: MetricsLog) -> Summary:
         median_latency_s=median_lat,
         p99_latency_s=p99_lat,
         loss_fraction=(dropped_buffer + dropped_harq) / n if n else 0.0,
-        min_snr_db=min(snrs) if snrs else 0.0,
-        mean_snr_db=reduce(add, snrs, 0.0) / len(snrs) if snrs else 0.0,  # left to right
+        min_snr_db=float(snr.min()) if len(snr) else 0.0,
+        # Left to right, as FlightTrace.centroid sums.
+        mean_snr_db=float(np.add.accumulate(snr)[-1]) / len(snr) if len(snr) else 0.0,
     )
 
 
@@ -509,7 +500,8 @@ def _float_field(x: np.ndarray):
 def write_packet_log(log: MetricsLog, path) -> None:
     """The packet columns as ``csv.writer`` writes them: repr floats, NaN as "". A chunk is a
     byte matrix, a row per line and a field in columns of its own, its 0 bytes dropped."""
-    tails = np.array([[f",{log.packet_bits},{o}\r\n"] for o in OUTCOME_NAMES], "S").view(np.uint8)
+    bits = _packet_bits(log.config)
+    tails = np.array([[f",{bits},{o}\r\n"] for o in OUTCOME_NAMES], "S").view(np.uint8)
     with open(path, "wb") as fh:
         fh.write((",".join(PACKET_CSV_HEADER) + "\r\n").encode())
         for s0 in range(0, log.n_packets, _WRITE_ROWS):

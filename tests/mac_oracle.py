@@ -30,8 +30,7 @@ from uavlink.simulation import (
 def columns_of(config: ScenarioConfig, deliver_slot, outcome) -> tuple[np.ndarray, ...]:
     """``simulation.mac_pass``'s (deliver_slot, outcome) as this oracle's three columns:
     t_gen and t_deliver rebuilt whole by ``MetricsLog.columns``, and outcome."""
-    log = MetricsLog(config, deliver_slot, outcome, _packet_bits(config),
-                     np.recarray(0, dtype=SAMPLE_DTYPE))
+    log = MetricsLog(config, deliver_slot, outcome, np.recarray(0, dtype=SAMPLE_DTYPE))
     return (*log.columns(), outcome)
 
 

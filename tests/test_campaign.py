@@ -191,13 +191,13 @@ class TestRunMatrix:
 class TestPoolSize:
     def test_capped_by_cells_and_cpus(self):
         cpus = os.cpu_count() or 1
-        assert pool_size(64, 3) == min(3, cpus)
-        assert pool_size(10_000, 10_000) == cpus
-        assert pool_size(1, 24) == 1
+        assert pool_size(64, 3, 1.0) == min(3, cpus)
+        assert pool_size(10_000, 10_000, 1.0) == cpus
+        assert pool_size(1, 24, 1.0) == 1
 
     def test_rejects_fewer_than_one(self):
         with pytest.raises(ValueError, match="at least 1"):
-            pool_size(0, 4)
+            pool_size(0, 4, 1.0)
 
     def test_cells_that_do_not_fit_together_run_one_at_a_time(self, monkeypatch, tmp_path):
         # Built, never run: two 1 Gb/s cells, 1000 and 1001 Mb/s, whose window makes
@@ -209,7 +209,7 @@ class TestPoolSize:
         matrix = small_matrix(**gigabit, sim_window=round(0.6 * physical / per_s))
         need = [sum(run_bytes(config)) for *_, config in matrix.cells]
         assert all(0.55 * physical < b < 0.65 * physical for b in need)
-        assert pool_size(2, 2) == min(2, os.cpu_count() or 1)
+        assert pool_size(2, 2, 1.0) == min(2, os.cpu_count() or 1)
         assert pool_size(2, 2, max(need)) == 1
         # So run_matrix starts no pool and runs the cells (stubs here) one at a time.
         monkeypatch.setattr(campaign, "ProcessPoolExecutor",

@@ -109,8 +109,13 @@ class TestShadowing:
         assert lag_one_correlation(vals) == pytest.approx(math.exp(-0.1), abs=0.05)
 
     def test_zero_sigma(self):
+        # +0.0 everywhere: over scan blocks, a 2 km jump, and from one call to the next.
         field = ShadowingField(sigma=0.0, seed=7)
-        assert field.sample_at(np.array([1.0]), np.array([2.0]), np.array([3.0]))[0] == 0.0
+        x = np.concatenate((np.arange(1000.0), 3000.0 + np.arange(2000.0)))
+        path = (x, np.full(3000, 2.0), np.full(3000, 3.0))
+        for part in (slice(0, 1500), slice(1500, None)):
+            vals = field.sample_at(*(c[part] for c in path))
+            assert (vals == 0.0).all() and not np.signbit(vals).any()
 
     @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
     def test_bad_sigma_rejected(self, sigma):

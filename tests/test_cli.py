@@ -67,7 +67,13 @@ def test_simulate_from_mission(tmp_path, capsys):
 def test_simulate_requires_input(tmp_path, capsys):
     rc = main(["simulate", "--out", str(tmp_path)])
     assert rc == 1
-    assert "needs --trace or --mission" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: simulate needs --trace or --mission\n"
+
+
+def test_simulate_requires_out(capsys):
+    rc = main(["simulate", "--mission", "overwatch-orbit"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: simulate needs --out (flag or config file)\n"
 
 
 def test_simulate_config_file_defaults(tmp_path, capsys):

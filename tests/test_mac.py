@@ -346,7 +346,7 @@ class TestSweepMatrixCells:
         trace = synth_trace(MissionArchetype("overwatch_orbit"), seed=0)
         cfg = build_scenario(trace, profile, antennas, 1000e6, "distant_2km", 0, 1.0)
         seeder = random.Random(cfg.seed)  # the streams run() draws
-        shadow = ShadowingField(sigma=cfg.shadowing_sigma, seed=seeder.getrandbits(64))
+        shadow = ShadowingField(sigma=simulation.SHADOWING_SIGMA, seed=seeder.getrandbits(64))
         harq_seed = seeder.getrandbits(64)
         snr, _ = channel_pass(cfg, shadow)
         t_gen, t_deliver, outcome = assert_matches_oracle(cfg, snr, harq_seed)

@@ -11,7 +11,7 @@ from uavlink.missions import (
     archetype_by_name,
     synth_trace,
 )
-from uavlink.mobility import TrajectorySampler
+from uavlink.mobility import TrajectorySampler, write_trace_csv
 
 
 class TestArchetypeValidation:
@@ -71,16 +71,18 @@ class TestSynthTrace:
         assert math.dist(start, after_lap) < 0.2  # chord interpolation slack
 
     @pytest.mark.parametrize("kind", MISSION_KINDS)
-    def test_peak_memory_per_waypoint_within_budget(self, kind):
+    def test_peak_memory_per_waypoint_within_budget(self, kind, tmp_path):
         # WAYPOINT_BYTES sizes the refusal of a trace larger than memory, so it
-        # must cover the synthesis's peak, not just the trace it keeps; and no
-        # per-waypoint Python objects (a list of (x, y) tuples) push that peak
-        # to three times the trace.
+        # must cover the peak of synth-trace's synthesis and writing, not just the
+        # trace it keeps; and no per-waypoint Python objects (a list of (x, y)
+        # tuples, or of the written floats) push that peak to three times the trace.
         arch = MissionArchetype(kind=kind, duration=50_000.0)
         tracemalloc.start()
         try:
             trace = synth_trace(arch, seed=2)
-            kept, peak = tracemalloc.get_traced_memory()
+            kept, _ = tracemalloc.get_traced_memory()
+            write_trace_csv(trace, tmp_path / "trace.csv")
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak / len(trace.t) <= WAYPOINT_BYTES

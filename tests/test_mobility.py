@@ -136,11 +136,22 @@ class TestParseTrace:
         assert a.origin == b.origin
         assert same_columns(a, b)
 
+    def test_byte_order_mark_parses_like_plain(self, tmp_path):
+        # A spreadsheet's UTF-8 export may start with a BOM.
+        text = "t_s,lat_deg,lon_deg,alt_m\n0,30.0,-97.0,20\n2.5,30.0001,-97.0002,22.5\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text)
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        a, b = read_trace_csv(plain), read_trace_csv(bom)
+        assert a.origin == b.origin
+        assert same_columns(a, b)
+
 
 class TestWriteTraceCsv:
-    @pytest.mark.parametrize("source", ["synthesized", "parsed-decimated"])
+    @pytest.mark.parametrize("source", ["synthesized", "parsed-decimated", "three-chunks"])
     def test_bytes_match_csv_writer(self, tmp_path, source):
-        trace = synth_trace(MissionArchetype("target_follow", duration=120.0), seed=2)
+        duration = 20_000.0 if source == "three-chunks" else 120.0  # 8192 rows a write
+        trace = synth_trace(MissionArchetype("target_follow", duration=duration), seed=2)
         if source == "parsed-decimated":
             write_trace_csv(trace, tmp_path / "synth.csv")
             trace = decimate(read_trace_csv(tmp_path / "synth.csv"), 2.5)

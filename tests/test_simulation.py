@@ -25,7 +25,7 @@ from uavlink.campaign import build_scenario
 from uavlink.channel import ShadowingField, fspl_db, noise_floor_dbm
 from uavlink.missions import MissionArchetype, synth_trace
 from uavlink.mobility import FlightTrace, GeoPoint
-from uavlink.phy import BLER_MAX, Outcome, bler, lte_profile, mmwave_profile
+from uavlink.phy import BLER_MAX, Outcome, bler, mmwave_profile
 from uavlink.simulation import (
     DEFAULT_BUFFER_LIMIT,
     DELIVERED,
@@ -74,7 +74,7 @@ class TestArrivals:
         log = run(scenario(window=0.0))
         assert log.n_packets == 0
         assert len(log.snr_series) == 0
-        assert summarize(log).empty
+        assert summarize(log) == Summary(0, 0, 0, 0, 0, *[0.0] * 7)
 
 
 class TestInvariants:
@@ -165,7 +165,7 @@ class TestInvariants:
 
 
 class TestGoodputConvergence:
-    def test_static_channel_matches_closed_form(self):
+    def test_static_channel_matches_closed_form(self, monkeypatch):
         # Hovering UAV, zero shadowing, single antennas: the SNR is constant,
         # so the stop-and-wait HARQ chain has a closed-form goodput. Park the
         # SNR 0.3 dB above a mid-table threshold for a meaningful error rate.
@@ -190,8 +190,8 @@ class TestGoodputConvergence:
             bs_position=(0.0, 0.0, 25.0),
             sim_window=60.0,
             seed=17,
-            shadowing_sigma=0.0,
         )
+        monkeypatch.setattr(simulation, "SHADOWING_SIGMA", 0.0)
         log = run(cfg)
         snr = log.snr_series[0].snr
         assert snr == pytest.approx(target_snr, abs=1e-9)
@@ -340,13 +340,12 @@ class TestMacPass:
         assert in_flight.min() > resolved.max()
 
 
-def manual_log(deliver_slot, outcome, rate=10e6, size=1000, window=4.0):
+def manual_log(deliver_slot, outcome, rate=10e6, window=4.0):
     """A log of 125 us slots whose packet n is sent at n * payload bits / rate."""
     return MetricsLog(
         config=scenario(rate=rate, window=window),
         deliver_slot=np.array(deliver_slot, dtype=np.int32),
         outcome=np.array(outcome, dtype=np.int8),
-        packet_bits=size,
         snr_series=np.recarray(0, dtype=SAMPLE_DTYPE),
     )
 
@@ -364,8 +363,8 @@ class GivenColumns(MetricsLog):
 
 
 def given_columns(log):
-    return GivenColumns(log.config, log.deliver_slot, log.outcome, log.packet_bits,
-                        log.snr_series, *log.columns())
+    return GivenColumns(log.config, log.deliver_slot, log.outcome, log.snr_series,
+                        *log.columns())
 
 
 class TestMetrics:
@@ -397,7 +396,7 @@ class TestMetrics:
                                                    nan_ok=True)
         s = summarize(log)
         assert (s.generated, s.delivered, s.dropped_buffer, s.in_flight) == (4, 2, 1, 1)
-        assert s.throughput_bps == pytest.approx(2000 / 4.0)
+        assert s.throughput_bps == pytest.approx(2 * 12224 / 4.0)  # 1528-byte packets
         assert s.mean_latency_s == pytest.approx((0.5e-3 + 0.35e-3) / 2)
         assert s.median_latency_s == pytest.approx(0.425e-3)
         assert s.p99_latency_s == pytest.approx(0.35e-3 + 0.99 * 0.15e-3)
@@ -434,7 +433,7 @@ class TestMetrics:
     def test_empty_summary_flag(self):
         log = manual_log([], [])
         s = summarize(log)
-        assert s == Summary(True, 0, 0, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        assert s == Summary(0, 0, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 class TestPacketColumns:
@@ -511,7 +510,8 @@ def oracle_write_packet_log(log, path):
         writer = csv.writer(fh)
         writer.writerow(PACKET_CSV_HEADER)
         writer.writerows(
-            (i, tg, "" if math.isnan(td) else td, log.packet_bits, OUTCOME_NAMES[o])
+            (i, tg, "" if math.isnan(td) else td, simulation._packet_bits(log.config),
+             OUTCOME_NAMES[o])
             for i, (tg, td, o) in enumerate(_rows(*log.columns(), log.outcome))
         )
 
@@ -594,7 +594,7 @@ def gigabit_pattern_log(n, seed=4):
     slots after it was sent, in runs that share a delivery time as the MAC writes them."""
     outcome = np.random.default_rng(seed).integers(0, len(OUTCOME_NAMES), n)
     sent_in = np.ceil(np.arange(n) * 1.2e-5 / 125e-6)  # the first slot starting at or after
-    return manual_log(np.where(outcome == DELIVERED, sent_in, -1), outcome, rate=1e9, size=12224)
+    return manual_log(np.where(outcome == DELIVERED, sent_in, -1), outcome, rate=1e9)
 
 
 def lawnmower_log():
@@ -702,6 +702,7 @@ class TestConfigValidation:
                     bs_array=None,
                     uav_array=None,
                     source_rate=1e6,
+                    bs_position=(0.0, 0.0, 25.0),
                     sim_window=window,
                 )
 
@@ -711,7 +712,7 @@ class TestConfigValidation:
         # config as it is built, before the channel stage allocates anything.
         cfg = scenario(rate=10e6, window=1.0)
         arrays = 835 * (4 + 1) + 8000 * 8 + 200 * SAMPLE_DTYPE.itemsize  # deliver_slot, outcome
-        temporaries = 835 * (1 + 8) + 200 * 32  # delivered mask, latencies, list of SNRs
+        temporaries = 835 * (1 + 8) + 200 * 8  # delivered mask, latencies, running SNR sum
         for physical in (arrays + temporaries - 1, arrays + temporaries):
             monkeypatch.setattr(simulation, "os", SimpleNamespace(
                 sysconf=lambda name, pages=physical: pages if name == "SC_PHYS_PAGES" else 1))
@@ -731,20 +732,3 @@ class TestConfigValidation:
             n, max_pk, _, slot_dtype = simulation._array_sizes(cfg)
             assert (n, slot_dtype) == (n_slots, dtype)
             assert simulation.run_bytes(cfg)[0] == max_pk * (width + 1 + 1 + 8)
-
-    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
-    def test_rejects_bad_shadowing_sigma(self, sigma):
-        # Refused as the config is built, by the rule ShadowingField applies.
-        with pytest.raises(ValueError, match="sigma must be non-negative and finite"):
-            dataclasses.replace(scenario(), shadowing_sigma=sigma)
-
-    def test_default_bs_position_is_centroid_at_25m(self):
-        cfg = ScenarioConfig(
-            trace=TRACE,
-            profile=lte_profile(),
-            bs_array=None,
-            uav_array=None,
-            source_rate=1e6,
-        )
-        cx, cy, _ = TRACE.centroid()
-        assert cfg.bs_position == (cx, cy, 25.0)

@@ -10,9 +10,11 @@ directory (or ``--work``), removed at the end.
 
 Each side runs, in a fresh process from its own ``src/``, the three commands of
 ``perfbench/run.py``'s workloads at seeds 0 and 13, and one more matrix, the sweep
-matrix's axes with ``--antennas 64X16,16x4 --packet-logs`` over a 2 s window. Both
-sides run the commands of this checkout's ``perfbench/run.py`` on one machine, so
-numpy's SIMD paths and the Python version are the same on both.
+matrix's axes with ``--antennas 64X16,16x4 --packet-logs`` over a 2 s window, and
+``synth-trace`` of each mission kind at seed 13 over 20 000 s (three 8192-row chunks
+of the trace writer). Both sides run the commands of this checkout's
+``perfbench/run.py`` on one machine, so numpy's SIMD paths and the Python version are
+the same on both.
 
 It prints each file that differs, is missing on one side, or whose command exited
 differently, and for a CSV the largest absolute difference in each column that
@@ -37,6 +39,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from run import CONSOLE_SCRIPT, WORKLOADS  # noqa: E402  (the benchmark's own commands)
 
 SEEDS = (0, 13)
+MISSIONS = ("overwatch-orbit", "search-lawnmower", "perimeter-patrol", "target-follow")
 
 
 def commands() -> dict[str, list[str]]:
@@ -48,6 +51,9 @@ def commands() -> dict[str, list[str]]:
     args = sweep.cli_args(SEEDS[0], out, window_s=2.0)
     args[args.index("--antennas") + 1] = "64X16,16x4"
     runs["matrix-64X16-packet-logs-s0"] = args + ["--packet-logs"]
+    for kind in MISSIONS:
+        runs[f"synth-trace-{kind}-s13"] = ["synth-trace", "--mission", kind, "--seed", "13",
+                                           "--duration-s", "20000", "--out", str(out)]
     return runs
 
 
