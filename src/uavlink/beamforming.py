@@ -10,23 +10,21 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_UPDATE_PERIOD = 5e-3  # s, beam pair refresh cadence
+SPACING = 0.5  # element spacing in wavelengths, on both axes of every array
 GAIN_FLOOR_LINEAR = 1e-12  # keeps orthogonal-beam gains finite in dB
 _GRID_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class ArrayConfig:
-    """Planar array geometry: element grid and spacing in wavelengths."""
+    """Planar array geometry: the element grid, at SPACING wavelengths."""
 
     n_h: int
     n_v: int
-    spacing: float = 0.5
 
     def __post_init__(self):
         if self.n_h < 1 or self.n_v < 1:
             raise ValueError("array needs at least one element per axis")
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
 
     @property
     def size(self) -> int:
@@ -35,11 +33,9 @@ class ArrayConfig:
 
 @dataclass(frozen=True)
 class Beam:
-    """One DFT beam: flattened index k * n_v + l and its bin per axis."""
+    """One DFT beam: flattened index k * n_v + l of its horizontal and vertical bins."""
 
     index: int
-    k: int  # horizontal DFT bin
-    l: int  # vertical DFT bin
 
 
 @dataclass(frozen=True)
@@ -48,7 +44,6 @@ class BeamPair:
 
     tx_beam: Beam
     rx_beam: Beam
-    selected_at: float
 
 
 class BeamTracker:
@@ -61,10 +56,10 @@ class BeamTracker:
 
     The combined gain is a product of one gain per side, and each side's gain
     a product of one Dirichlet kernel per axis, |sin(pi n x) / sin(pi x)|, in
-    the offset x = spacing * c - k / n (mod 1) of the direction cosine c from
+    the offset x = SPACING * c - k / n (mod 1) of the direction cosine c from
     bin k. For |x| <= 1/2n the kernel is at least 1/sin(pi / 2n) and elsewhere
     at most that, so the optimum is the nearest bin per axis,
-    round(n * spacing * c) mod n. A direction exactly half a bin between two
+    round(n * SPACING * c) mod n. A direction exactly half a bin between two
     beams ties them; it goes to the even bin (``np.rint`` halves to even).
     """
 
@@ -83,21 +78,19 @@ class BeamTracker:
         update period and carries over between calls.
         """
         uav, bs = self.uav_array, self.bs_array
-        axes = list(zip((uav.n_h, uav.n_v, bs.n_h, bs.n_v), (uav.spacing,) * 2 + (bs.spacing,) * 2,
-                        (*uav_cos, *bs_cos)))
+        axes = list(zip((uav.n_h, uav.n_v, bs.n_h, bs.n_v), (*uav_cos, *bs_cos)))
         epoch = np.floor(t / DEFAULT_UPDATE_PERIOD + 1e-9)
         fresh = np.diff(epoch, prepend=self._epoch) > 0  # first query of an update period
         # Per query, the number of refreshes so far in this call: 0 is the carried pair.
         which = np.cumsum(fresh)
-        new_bins = [np.rint(n * sp * c[fresh]) % n for n, sp, c in axes]  # nearest bins
-        d = [_dirichlet(n, sp * c - np.concatenate(([b], nb))[which] / n)
-             for b, nb, (n, sp, c) in zip(self._bins, new_bins, axes)]
+        new_bins = [np.rint(n * SPACING * c[fresh]) % n for n, c in axes]  # nearest bins
+        d = [_dirichlet(n, SPACING * c - np.concatenate(([b], nb))[which] / n)
+             for b, nb, (n, c) in zip(self._bins, new_bins, axes)]
         if which[-1]:
             self._epoch = int(epoch[-1])
             self._bins = k, l, rk, rl = tuple(int(nb[-1]) for nb in new_bins)
-            self.pair = BeamPair(tx_beam=Beam(index=k * uav.n_v + l, k=k, l=l),
-                                 rx_beam=Beam(index=rk * bs.n_v + rl, k=rk, l=rl),
-                                 selected_at=self._epoch * DEFAULT_UPDATE_PERIOD)
+            self.pair = BeamPair(tx_beam=Beam(index=k * uav.n_v + l),
+                                 rx_beam=Beam(index=rk * bs.n_v + rl))
         return (d[0] * d[1]) ** 2 / uav.size, (d[2] * d[3]) ** 2 / bs.size
 
 

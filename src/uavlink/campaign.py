@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .beamforming import parse_antenna_combo
 from .missions import MissionArchetype, synth_trace
-from .mobility import FlightTrace
+from .mobility import FlightTrace, read_csv
 from .phy import profile_by_name
 from .simulation import (
     ScenarioConfig,
@@ -56,7 +56,7 @@ class RunMatrix:
     by the mission's cells) and builds ``cells``: one (name, coordinates,
     ScenarioConfig) per :func:`expand_cells` tuple, where the coordinates are the
     first seven ReportRow fields. So a bad axis, a window too large for memory,
-    or two cells that share a name, is refused before any cell runs.
+    or two cells that share a name or coordinates, is refused before any cell runs.
     """
 
     missions: list[MissionArchetype]
@@ -91,9 +91,9 @@ class RunMatrix:
                  rate / 1e6, placement, seed, self.sim_window),
                 cfg,
             ))
-        clashes = [name for name, n in Counter(cell[0] for cell in self.cells).items() if n > 1]
-        if clashes:
-            raise ValueError(f"matrix cells share a name: {', '.join(clashes)}")
+        seen = Counter(key for name, coordinates, _ in self.cells for key in (name, coordinates))
+        if clashes := [key for key, n in seen.items() if n > 1]:
+            raise ValueError(f"matrix cells share a name or grid coordinates: {clashes}")
 
 
 def profile_antennas(profile: str, combos: list[str]) -> list[str]:
@@ -227,20 +227,14 @@ def write_report_csv(rows, path) -> None:
 def read_report_csv(path) -> list[ReportRow]:
     """Rows of a summary.csv written by :func:`write_report_csv`.
 
-    Raises ValueError, naming the file and line, on a foreign header or a
-    malformed row.
+    Raises ValueError, naming the file and line, on a foreign header, a
+    malformed row or bytes that are not UTF-8 (see ``mobility.read_csv``).
     """
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != list(REPORT_CSV_HEADER):
-            raise ValueError(
-                f"{path}: expected header {','.join(REPORT_CSV_HEADER)}, "
-                f"got {reader.fieldnames}"
-            )
+    with read_csv(path, REPORT_CSV_HEADER) as reader:
         for lineno, rec in enumerate(reader, start=2):
             try:
                 rows.append(ReportRow(*(_PARSERS[f.type](rec[f.name]) for f in fields(ReportRow))))
             except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+                raise ValueError(f"line {lineno}: {exc}") from None
     return rows

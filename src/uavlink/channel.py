@@ -40,8 +40,8 @@ class ShadowingField:
     step repeats the last value.
     """
 
-    sigma: float = 4.0  # dB
-    seed: int = 0
+    sigma: float  # dB
+    seed: int
 
     def __post_init__(self):
         if not 0 <= self.sigma < math.inf:

@@ -15,7 +15,7 @@ from .campaign import (
     render_report,
     run_matrix,
 )
-from .missions import MISSION_KINDS, archetype_by_name, synth_trace
+from .missions import MISSION_KINDS, MissionArchetype, archetype_by_name, synth_trace
 from .mobility import decimate, read_trace_csv, write_trace_csv
 from .phy import PROFILES
 from .simulation import BS_OFFSETS, run, summarize, write_packet_log, write_snr_trace
@@ -45,10 +45,10 @@ def build_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser("synth-trace", help="generate a synthetic mission trace CSV")
     synth.add_argument("--mission", default="overwatch-orbit",
                        help=f"one of: {', '.join(k.replace('_', '-') for k in MISSION_KINDS)}")
-    synth.add_argument("--area-m2", type=float, default=90_000.0)
-    synth.add_argument("--speed-ms", type=float, default=5.0)
-    synth.add_argument("--altitude-m", type=float, default=30.0)
-    synth.add_argument("--duration-s", type=float, default=600.0)
+    synth.add_argument("--area-m2", type=float, default=MissionArchetype.area)
+    synth.add_argument("--speed-ms", type=float, default=MissionArchetype.speed)
+    synth.add_argument("--altitude-m", type=float, default=MissionArchetype.altitude)
+    synth.add_argument("--duration-s", type=float, default=MissionArchetype.duration)
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--out", required=True, help="output directory")
 
@@ -171,11 +171,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_matrix(args) -> int:
+    try:
+        rates = [float(r) * 1e6 for r in args.rate_mbps.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"--rate-mbps {args.rate_mbps}: {exc}") from None
     matrix = RunMatrix(
         missions=[archetype_by_name(m) for m in args.missions.split(",")],
         profiles=args.profile.split(","),
         antenna_combos=args.antennas.split(","),
-        source_rates=[float(r) * 1e6 for r in str(args.rate_mbps).split(",")],
+        source_rates=rates,
         bs_placements=[_placement(b) for b in args.bs.split(",")],
         seeds=[args.seed],
         sim_window=args.window_s,

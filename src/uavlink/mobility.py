@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -128,16 +129,32 @@ def parse_trace(rows: Iterable[Mapping[str, str]]) -> FlightTrace:
 
 
 def read_trace_csv(path) -> FlightTrace:
-    with open(path, newline="", encoding="utf-8-sig") as fh:  # with or without a BOM
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != list(
-            TRACE_CSV_HEADER
-        ):
-            raise TraceParseError(
-                f"expected header {','.join(TRACE_CSV_HEADER)}, got {reader.fieldnames}"
-            )
-        reader.fieldnames = TRACE_CSV_HEADER  # rows keyed by the names stripped of padding
-        return parse_trace(reader)
+    """Parse a trace CSV; each refusal is a :class:`TraceParseError` (see :func:`read_csv`)."""
+    with read_csv(path, TRACE_CSV_HEADER, TraceParseError) as rows:
+        return parse_trace(rows)
+
+
+@contextmanager
+def read_csv(path, header: tuple[str, ...], error: type[ValueError] = ValueError):
+    """Rows of CSV file ``path`` (UTF-8, BOM optional; header ``header``, padded or not). A
+    ValueError or csv.Error is raised as ``error("PATH: ...")``, bad UTF-8 as ``PATH: line N``."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.DictReader(fh)
+            if [c.strip() for c in reader.fieldnames or ()] != list(header):
+                raise ValueError(f"expected header {','.join(header)}, got {reader.fieldnames}")
+            reader.fieldnames = header
+            yield reader
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    line.decode()  # a BOM is valid UTF-8
+                except UnicodeDecodeError as exc:
+                    raise error(f"{path}: line {lineno}: {exc}") from None
+        raise
+    except (ValueError, csv.Error) as exc:
+        raise error(f"{path}: {exc}") from None
 
 
 def write_trace_csv(trace: FlightTrace, path) -> None:

@@ -29,15 +29,8 @@ LTE_PEAK_RATE = 75.2e6  # b/s at 20 MHz and the top MCS
 
 @dataclass(frozen=True)
 class McsEntry:
-    index: int
-    modulation_order: int  # bits/symbol
-    code_rate: float
     spectral_efficiency: float  # b/s/Hz
     snr_threshold: float  # dB, lowest SNR with BLER <= 0.1
-
-    def __post_init__(self):
-        if abs(self.spectral_efficiency - self.modulation_order * self.code_rate) > 1e-9:
-            raise ValueError("spectral efficiency must equal mod_order * code_rate")
 
 
 class Outcome(Enum):
@@ -83,30 +76,10 @@ def shannon_gap_threshold(se: float) -> float:
     return 10.0 * math.log10(2.0**se - 1.0) + SHANNON_GAP_DB
 
 
-def _mod_order_for(se: float) -> int:
-    # Smallest constellation keeping the code rate at or below the top rate.
-    for qm in (2, 4, 6):
-        if se / qm <= SE_TOP / 6 + 1e-12:
-            return qm
-    return 6
-
-
 def build_mcs_table() -> tuple[McsEntry, ...]:
     ratio = (SE_TOP / SE_BOTTOM) ** (1.0 / (MCS_TABLE_SIZE - 1))
-    entries = []
-    for i in range(MCS_TABLE_SIZE):
-        se = SE_BOTTOM * ratio**i
-        qm = _mod_order_for(se)
-        entries.append(
-            McsEntry(
-                index=i,
-                modulation_order=qm,
-                code_rate=se / qm,
-                spectral_efficiency=se,
-                snr_threshold=shannon_gap_threshold(se),
-            )
-        )
-    return tuple(entries)
+    return tuple(McsEntry(se, shannon_gap_threshold(se))
+                 for se in (SE_BOTTOM * ratio**i for i in range(MCS_TABLE_SIZE)))
 
 
 _DEFAULT_TABLE = build_mcs_table()

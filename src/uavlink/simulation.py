@@ -75,7 +75,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.source_rate) and self.source_rate > 0):
-            raise ValueError(f"source rate must be positive and finite, got {self.source_rate}")
+            raise ValueError("source rate must be positive and finite, got "
+                             f"{self.source_rate / 1e6!r} Mb/s")
         if self.payload <= 0:
             raise ValueError("payload must be positive")
         if not math.isfinite(self.interarrival):

@@ -9,7 +9,8 @@
 - shadowing: the Gauss-Markov recursion one point at a time, over
   ``np.random.default_rng(seed).standard_normal(n)``.
 
-Arrays are anything with ``n_h``, ``n_v``, ``spacing`` and ``size``.
+Arrays are anything with ``n_h``, ``n_v`` and ``size``; elements are half a
+wavelength apart.
 """
 
 import math
@@ -58,9 +59,9 @@ class Beam:
     weights: np.ndarray = field(compare=False, repr=False)
 
 
-def key(beam) -> tuple[int, int, int]:
-    """(index, k, l) of a production or an oracle beam."""
-    return beam.index, beam.k, beam.l
+def key(beam) -> int:
+    """The flattened index k * n_v + l of a production or an oracle beam."""
+    return beam.index
 
 
 def steering_vector(array, geom: Geometry) -> np.ndarray:
@@ -68,7 +69,7 @@ def steering_vector(array, geom: Geometry) -> np.ndarray:
     cy, cz = geom.cosines()
     p = np.repeat(np.arange(array.n_h), array.n_v)
     q = np.tile(np.arange(array.n_v), array.n_h)
-    phase = 2.0 * math.pi * array.spacing * (p * cy + q * cz)
+    phase = 2.0 * math.pi * 0.5 * (p * cy + q * cz)
     return np.exp(1j * phase) / math.sqrt(array.size)
 
 

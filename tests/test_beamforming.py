@@ -131,7 +131,7 @@ class TestBeamGain:
         # pair, at a geometry other than the one the pair was refreshed at.
         rng = random.Random(4)
         for arr in (ArrayConfig(8, 8), ArrayConfig(4, 4), ArrayConfig(2, 2), ArrayConfig(1, 1),
-                    ArrayConfig(3, 3, 0.7), ArrayConfig(5, 1, 0.3)):
+                    ArrayConfig(3, 3), ArrayConfig(5, 1)):
             for _ in range(30):
                 tracker = BeamTracker(arr, arr)
                 tracker.gains_at_cosines(np.array([0.0]), *cosine_arrays(random_geometry(rng),
@@ -151,8 +151,8 @@ class TestBestBeamPair:
     def test_grid_point_combined_gain(self):
         bs, uav = parse_antenna_combo("64x16")
         pair, gains = refreshed_pair_and_gains(bs, uav, BORESIGHT, BORESIGHT)
-        assert key(pair.tx_beam) == key(best_beam(uav, BORESIGHT)) == (0, 0, 0)
-        assert key(pair.rx_beam) == key(best_beam(bs, BORESIGHT)) == (0, 0, 0)
+        assert key(pair.tx_beam) == key(best_beam(uav, BORESIGHT)) == 0
+        assert key(pair.rx_beam) == key(best_beam(bs, BORESIGHT)) == 0
         assert sum(gains) == pytest.approx(30.10299956639812, abs=1e-9)
 
     def test_combined_gain_gap_between_combos(self):
@@ -180,14 +180,13 @@ class TestBestBeamPair:
 
     def test_beats_every_other_pair(self):
         # The oracle's argmax over every codebook beam pins the tracker's
-        # nearest-bin refresh, also for odd arrays and spacings other than
-        # half a wavelength.
+        # nearest-bin refresh, also for odd arrays.
         rng = random.Random(6)
         combos = (
             (ArrayConfig(2, 2), ArrayConfig(2, 1)),
             (ArrayConfig(8, 8), ArrayConfig(4, 4)),
-            (ArrayConfig(3, 3, 0.7), ArrayConfig(5, 1, 0.3)),
-            (ArrayConfig(5, 1, 0.3), ArrayConfig(3, 3, 0.7)),
+            (ArrayConfig(3, 3), ArrayConfig(5, 1)),
+            (ArrayConfig(5, 1), ArrayConfig(3, 3)),
         )
         for bs, uav in combos:
             for _ in range(10):
@@ -199,7 +198,7 @@ class TestBestBeamPair:
                 assert rx_db == pytest.approx(best_gain_db(bs, bg), abs=1e-9)
 
     def test_half_bin_tie_rounds_half_to_even(self):
-        # n * spacing * cos = +-0.5 and +-1.5 on a 4x1 array: two beams tie and
+        # n * SPACING * cos = +-0.5 and +-1.5 on a 4x1 array: two beams tie and
         # the even bin, taken mod 4, wins.
         arr = ArrayConfig(4, 1)
         tracker = BeamTracker(arr, arr)
@@ -209,7 +208,7 @@ class TestBestBeamPair:
         ):
             _, rx_lin = tracker.gains_at_cosines(np.array([t]), (np.array([bs_c]), np.zeros(1)),
                                                  (np.array([uav_c]), np.zeros(1)))
-            assert (tracker.pair.rx_beam.k, tracker.pair.tx_beam.k) == expect
+            assert (tracker.pair.rx_beam.index, tracker.pair.tx_beam.index) == expect
             geom = Geometry(azimuth=math.asin(bs_c), elevation=0.0)
             tied = beam_gain_db(arr, dft_codebook(arr)[rx_tied], geom)
             assert tied == pytest.approx(10 * math.log10(rx_lin[0]), abs=1e-9)
@@ -221,8 +220,8 @@ class TestTracker:
         # refresh lands on the oracle's brute-force argmax per side.
         rng = random.Random(9)
         for bs, uav in (parse_antenna_combo("64x16"),
-                        (ArrayConfig(3, 3, 0.7), ArrayConfig(5, 1, 0.3)),
-                        (ArrayConfig(5, 1, 0.3), ArrayConfig(3, 3, 0.7))):
+                        (ArrayConfig(3, 3), ArrayConfig(5, 1)),
+                        (ArrayConfig(5, 1), ArrayConfig(3, 3))):
             tracker = BeamTracker(bs, uav)
             for epoch in range(12):
                 bs_geom, uav_geom = random_geometry(rng), random_geometry(rng)
@@ -283,16 +282,6 @@ class TestTracker:
                             for i in range(600)])
         assert np.array_equal(got, expect)
         assert arrays.pair == scalars.pair
-
-    def test_selected_at_is_period_multiple(self):
-        bs, uav = parse_antenna_combo("16x4")
-        tracker = BeamTracker(bs, uav)
-        geom = Geometry(azimuth=0.2, elevation=0.0)
-        gains_db(tracker, 0.0, geom, BORESIGHT)
-        gains_db(tracker, 0.0123, geom, BORESIGHT)
-        ratio = tracker.pair.selected_at / DEFAULT_UPDATE_PERIOD
-        assert ratio == pytest.approx(round(ratio), abs=1e-9)
-        assert tracker.pair.selected_at == pytest.approx(0.010, abs=1e-12)
 
 
 class TestPlumbing:

@@ -83,6 +83,13 @@ class TestMatrixShape:
         with pytest.raises(ValueError, match="matrix cells share a name"):
             small_matrix(source_rates=[2e6, 2.00000001e6])
 
+    @pytest.mark.parametrize("combos", [["64x16", "64X16"], ["64x16", "064x16"]])
+    def test_cells_sharing_grid_coordinates_rejected(self, combos):
+        # Two spellings of one combination: the same cell twice, two identical summary rows.
+        with pytest.raises(ValueError, match="matrix cells share a name or grid coordinates: "
+                                             r"\[\('overwatch_orbit', 'mmwave', '64x16', 5.0"):
+            small_matrix(missions=MISSIONS[:1], profiles=["mmwave"], antenna_combos=combos)
+
     @pytest.mark.parametrize("rate", [-5e6, 0.0, float("nan"), float("inf"), 1e-314])
     def test_bad_rate_rejected(self, rate):
         # 1e-314 b/s is positive and finite, but a 1500-byte packet's interarrival overflows.

@@ -206,6 +206,20 @@ def test_report_on_foreign_summary_exits_one(tmp_path, capsys, content, message)
     assert message in capsys.readouterr().err
 
 
+def test_report_reads_summary_with_byte_order_mark(tmp_path, capsys):
+    # A summary.csv saved back by a spreadsheet as UTF-8 may start with a BOM.
+    plain, bom = tmp_path / "plain", tmp_path / "bom"
+    bom.mkdir()
+    assert main(["matrix", "--missions", "overwatch_orbit", "--profile", "lte",
+                 "--rate-mbps", "2", "--window-s", "0.1", "--out", str(plain)]) == 0
+    (bom / "summary.csv").write_bytes(b"\xef\xbb\xbf" + (plain / "summary.csv").read_bytes())
+    capsys.readouterr()
+    assert main(["report", "--out", str(plain)]) == 0
+    expect = capsys.readouterr().out
+    assert main(["report", "--out", str(bom)]) == 0
+    assert capsys.readouterr().out == expect
+
+
 def test_matrix_reports_every_failed_cell(tmp_path, capsys, monkeypatch):
     def fail(config):
         raise ValueError("cell fails at run time")
@@ -227,6 +241,8 @@ def test_matrix_reports_every_failed_cell(tmp_path, capsys, monkeypatch):
     ("lte", "--antennas", "bogus", "bad antenna combination 'bogus'"),
     ("mmwave,lte", "--rate-mbps", "10,-5", "source rate must be positive and finite"),
     ("lte", "--rate-mbps", "2,1e-320", "the packet interarrival time overflows"),
+    ("lte", "--rate-mbps", "2,abc", "--rate-mbps 2,abc: could not convert string to float: 'abc'"),
+    ("lte", "--rate-mbps", "2,", "--rate-mbps 2,: could not convert string to float: ''"),
 ])
 def test_matrix_refuses_bad_axis_before_any_cell(tmp_path, capsys, profile, flag, value,
                                                  message):
@@ -238,6 +254,8 @@ def test_matrix_refuses_bad_axis_before_any_cell(tmp_path, capsys, profile, flag
     assert message in err
     if value == "2,1e-320":  # the refused rate is echoed as typed, in Mb/s
         assert "source rate 1e-320 Mb/s is too small" in err
+    if value == "10,-5":
+        assert "got -5.0 Mb/s" in err
     assert "cell failed" not in err
     assert not out.exists()
 
@@ -293,6 +311,14 @@ def test_simulate_echoes_tiny_rate_in_mbps(tmp_path, capsys):
     assert rc == 1
     assert ("source rate 1e-320 Mb/s is too small: the packet interarrival time overflows"
             in capsys.readouterr().err)
+    assert not list(tmp_path.iterdir())
+
+
+def test_simulate_echoes_bad_rate_in_mbps(tmp_path, capsys):
+    rc = main(["simulate", "--mission", "overwatch-orbit", "--rate-mbps", "-5",
+               "--window-s", "0.1", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "source rate must be positive and finite, got -5.0 Mb/s" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -423,7 +449,34 @@ def test_malformed_trace_csv_is_refused(tmp_path, capsys, data):
     rc = main(["simulate", "--trace", str(path), "--window-s", "0", "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("encoding, line, byte", [("utf-16", 1, "0xff"), ("latin-1", 3, "0xe9")])
+def test_trace_not_utf8_names_file_and_line(tmp_path, capsys, encoding, line, byte):
+    # A spreadsheet's UTF-16 export, or a Latin-1 file with an accent in line 3.
+    rows = [TRACE_CSV_HEADER, *GOOD_ROWS]
+    rows[line - 1] = [*rows[line - 1][:3], rows[line - 1][3] + "\u00e9"]
+    path = tmp_path / "trace.csv"
+    path.write_bytes("".join(",".join(row) + "\n" for row in rows).encode(encoding))
+    out = tmp_path / "out"
+    rc = main(["simulate", "--trace", str(path), "--window-s", "0.1", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line {line}: 'utf-8' codec can't decode byte {byte}")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_trace_field_over_csv_limit_is_refused(tmp_path, capsys):
+    # csv raises its own csv.Error, not a ValueError, past 131072 characters in a field.
+    path = tmp_path / "trace.csv"
+    path.write_text("t_s,lat_deg,lon_deg,alt_m\n0.0,30.0,0.0," + "3" * 200_000 + "\n")
+    out = tmp_path / "out"
+    rc = main(["simulate", "--trace", str(path), "--window-s", "0.1", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {path}: field larger than field limit (131072)\n"
     assert not out.exists()
 
 
