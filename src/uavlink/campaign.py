@@ -22,6 +22,7 @@ from .simulation import (
     physical_memory,
     run,
     run_bytes,
+    shared_channel,
     summarize,
     write_packet_log,
     write_snr_trace,
@@ -153,6 +154,19 @@ def _execute_cell(job) -> ReportRow:
                      s.p99_latency_s * 1e3, s.loss_fraction)
 
 
+def _execute_group(jobs) -> list:
+    """Cells that differ only in rate, in grid order, sharing one channel stage and one
+    SNR CSV text (``shared_channel``): each cell's ReportRow, or the exception it raised."""
+    results = []
+    with shared_channel():
+        for job in jobs:
+            try:
+                results.append(_execute_cell(job))
+            except Exception as exc:  # per-cell isolation
+                results.append(exc)
+    return results
+
+
 def run_matrix(
     matrix: RunMatrix,
     out_dir,
@@ -162,26 +176,39 @@ def run_matrix(
 ) -> tuple[list[ReportRow], list[str]]:
     """Run every cell of ``matrix.cells``, write per-cell logs plus the summary table.
 
-    Cell failures are collected and reported, by cell name, without aborting
-    the rest of the grid, and no summary is written when none succeeds. Output
-    files are independent of execution order: rows are sorted by grid coordinates.
+    Cells whose coordinates differ only in rate run as one job (``_execute_group``),
+    so the pool has no more workers than such groups. Cell failures are collected and
+    reported, by cell name in grid order, without aborting the rest of the grid, and no
+    summary is written when none succeeds. Output files are independent of execution
+    order: rows are sorted by grid coordinates.
     """
-    largest = max(sum(run_bytes(config)) for *_, config in matrix.cells)
-    workers = pool_size(workers, len(matrix.cells), largest)
     out = Path(out_dir)
+    groups: dict[tuple, list] = {}  # one job per group of cells that differ only in rate
+    for name, coordinates, config in matrix.cells:
+        groups.setdefault(coordinates[:3] + coordinates[4:], []).append(
+            (name, coordinates, config, str(out), packet_logs))
+    largest = max(sum(run_bytes(config)) for *_, config in matrix.cells)
+    workers = pool_size(workers, len(groups), largest)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = [(*cell, str(out), packet_logs) for cell in matrix.cells]
+    outcomes = {}  # by cell name: its ReportRow, or the exception it or its group raised
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        # Each group and its results as a call: its future's, or in process the group itself.
+        results = [(jobs, pool.submit(_execute_group, jobs).result if pool
+                    else partial(_execute_group, jobs)) for jobs in groups.values()]
+        for jobs, result in results:
+            try:
+                group_outcomes = result()
+            except Exception as exc:  # the job itself failed, e.g. a broken pool
+                group_outcomes = [exc] * len(jobs)
+            outcomes.update(zip((name for name, *_ in jobs), group_outcomes))
     rows: list[ReportRow] = []
     errors: list[str] = []
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        # Each cell's name and its result as a call: its future's, or in process the cell itself.
-        results = [(job[0], pool.submit(_execute_cell, job).result if pool
-                    else partial(_execute_cell, job)) for job in jobs]
-        for name, result in results:
-            try:
-                rows.append(result())
-            except Exception as exc:  # per-cell isolation
-                errors.append(f"{name}: {exc}")
+    for name, *_ in matrix.cells:
+        outcome = outcomes[name]
+        if isinstance(outcome, Exception):
+            errors.append(f"{name}: {outcome}")
+        else:
+            rows.append(outcome)
     rows.sort()
     if rows:
         write_report_csv(rows, out / "summary.csv")
@@ -189,13 +216,14 @@ def run_matrix(
     return rows, errors
 
 
-def pool_size(workers: int, cells: int, cell_bytes: float) -> int:
-    """Worker processes for a matrix: no more than its cells, this host's CPUs, or the
-    cells of ``cell_bytes`` each (see ``run_bytes``) that fit in physical memory at once."""
+def pool_size(workers: int, jobs: int, cell_bytes: float) -> int:
+    """Worker processes for a matrix: no more than its jobs, this host's CPUs, or the
+    cells of ``cell_bytes`` each (see ``run_bytes``) that fit in physical memory at once;
+    a job runs its cells one at a time."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     fit = int(physical_memory() // cell_bytes)
-    return max(1, min(workers, cells, os.cpu_count() or 1, fit))
+    return max(1, min(workers, jobs, os.cpu_count() or 1, fit))
 
 
 def render_report(rows) -> str:

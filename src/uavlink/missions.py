@@ -44,7 +44,8 @@ class MissionArchetype:
 
     def __post_init__(self):
         if self.kind not in MISSION_KINDS:
-            raise ValueError(f"unknown mission kind {self.kind!r}")
+            raise ValueError(f"unknown mission kind {self.kind!r}; choose from "
+                             f"{', '.join(MISSION_KINDS)}")
         for name in ("area", "speed", "altitude", "duration"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"mission {name} must be finite, got {getattr(self, name)}")
@@ -156,7 +157,4 @@ def _target_follow(archetype: MissionArchetype, times, seed) -> Iterator[tuple[f
 
 def archetype_by_name(name: str, **overrides) -> MissionArchetype:
     """Resolve a mission name (dashes or underscores) to its archetype."""
-    kind = name.replace("-", "_")
-    if kind not in MISSION_KINDS:
-        raise ValueError(f"unknown mission {name!r}; choose from {', '.join(MISSION_KINDS)}")
-    return MissionArchetype(kind=kind, **overrides)
+    return MissionArchetype(kind=name.replace("-", "_"), **overrides)

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import os
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -172,19 +173,47 @@ def run_bytes(config: ScenarioConfig) -> tuple[float, float]:
     return packet_bytes, snr_bytes
 
 
+_shared: dict | None = None  # what runs reuse inside shared_channel(); None outside it
+
+
+@contextmanager
+def shared_channel():
+    """Within the block, ``run`` reuses the last run's channel stage for a config that
+    differs from its config only in traffic (the same trace object, profile, arrays, BS
+    position, window and seed), and ``write_snr_trace`` the last text it formatted for
+    the same samples. Leaving the block frees both. Outside any such block nothing is
+    reused, so two equal configs run two channel stages."""
+    global _shared
+    outer, _shared = _shared, {}
+    try:
+        yield
+    finally:
+        _shared = outer
+
+
 def run(config: ScenarioConfig) -> MetricsLog:
     """Execute one scenario end to end: the channel stage, then the MAC stage.
 
     Deterministic for a fixed config including seed. A run whose arrays would
     exceed physical memory is refused earlier, when its ScenarioConfig is built
-    (``run_bytes``).
+    (``run_bytes``). Inside ``shared_channel`` the channel stage may be the last run's.
     """
     # Independent RNG streams: shadowing draws must not shift when HARQ
     # consumption changes between configs sharing a seed.
     seeder = random.Random(config.seed)
     shadow = ShadowingField(sigma=SHADOWING_SIGMA, seed=seeder.getrandbits(64))
     harq_rng = random.Random(seeder.getrandbits(64))
-    snr, samples = channel_pass(config, shadow)
+    if _shared is None:
+        snr, samples = channel_pass(config, shadow)
+    else:  # the channel ignores traffic: a config that differs only there shares it
+        key = (config.trace, config.profile, config.bs_array, config.uav_array,
+               config.bs_position, config.sim_window, config.seed)
+        last, channel = _shared.get("channel", (None, None))
+        if last is None or last[0] is not key[0] or last[1:] != key[1:]:
+            _shared.clear()
+            channel = channel_pass(config, shadow)
+            _shared["channel"] = key, channel
+        snr, samples = channel
     deliver_slot, outcome = mac_pass(config, snr, harq_rng)
     return MetricsLog(config, deliver_slot, outcome, samples)
 
@@ -306,6 +335,11 @@ def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.n
     k_tab = g_tab = np.zeros(wait + 1, dtype=np.int64)
     queue = np.zeros(0, dtype=np.int64)
     draws, di = np.empty(0), 0  # HARQ uniforms, one per slot of a chunk ahead, used from di on
+    # harq_rng's stream, drawn in bulk: CPython's random() and RandomState's random_sample
+    # both make a double of two MT19937 words (genrand_res53), so the draws are the same.
+    version, (*key, pos), gauss = harq_rng.getstate()
+    uniforms = np.random.RandomState()
+    uniforms.set_state(("MT19937", np.array(key, dtype=np.uint32), pos))
     sent, done = 0, np.zeros(1, dtype=np.int64)  # D; per slot, D less a block yet to succeed
     block, lo, nxt = None, 0, 0  # a failed block, the bits before it and its next attempt's slot
     form = "sparse"
@@ -333,7 +367,7 @@ def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.n
         g_tab = np.concatenate((g_tab, packets_generated(np.arange(c0, c0 + n), slot,
                                                          interarrival, max_pk)))
         done = np.concatenate((done[-1:], np.empty(n, dtype=np.int64)))  # done[j + 1]: slot c0+j
-        draws = np.append(draws[di:], [harq_rng.random() for _ in range(n + di - len(draws))])
+        draws = np.append(draws[di:], uniforms.random_sample(max(0, n + di - len(draws))))
         di = i = 0
         dropped = []  # admission-order ranges of HARQ drops
         while i < n or block is not None and nxt < c0 + n:  # a chunk's last slot may fail
@@ -410,6 +444,8 @@ def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.n
             outcome_arr[at] = DROPPED_HARQ
         queue, k_tab, g_tab = queue[head - k0:], k_tab[-wait - 1:], g_tab[-wait - 1:]
 
+    _, key, pos, *_ = uniforms.get_state()
+    harq_rng.setstate((version, (*key.tolist(), pos), gauss))
     n_gen, n_adm = g_tab.item(-1), k_tab.item(-1)
     if n_gen > n_adm:  # what was neither settled nor queued was dropped on arrival
         outcome_arr[:n_gen][outcome_arr[:n_gen] == IN_FLIGHT] = DROPPED_BUFFER
@@ -527,8 +563,13 @@ def write_packet_log(log: MetricsLog, path) -> None:
 def write_snr_trace(log: MetricsLog, path) -> None:
     rec = log.snr_series
     cols = (rec.t, rec.distance_3d, rec.snr, rec.tx_gain, rec.rx_gain)
+    chunks = ("".join(map("{},{},{},{},{}\r\n".format,
+                          *(c[s0:s0 + _WRITE_ROWS].tolist() for c in cols)))
+              for s0 in range(0, len(rec), _WRITE_ROWS))
+    if _shared is not None:  # see shared_channel
+        if _shared.get("snr_series") is not rec:
+            _shared["snr_series"], _shared["snr_text"] = rec, list(chunks)
+        chunks = _shared["snr_text"]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(SNR_CSV_HEADER) + "\r\n")
-        for s0 in range(0, len(rec), _WRITE_ROWS):
-            fh.write("".join(map("{},{},{},{},{}\r\n".format,
-                                 *(c[s0:s0 + _WRITE_ROWS].tolist() for c in cols))))
+        fh.writelines(chunks)

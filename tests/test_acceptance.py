@@ -196,6 +196,7 @@ def test_criterion_7_property_suite(monkeypatch):
     assert np.array_equal(log_a.deliver_slot, log_b.deliver_slot)
     assert np.array_equal(log_a.outcome, log_b.outcome)
     assert [s.snr for s in log_a.snr_series] == [s.snr for s in log_b.snr_series]
+    assert log_a.snr_series is not log_b.snr_series  # two channel stages ran
 
     elapsed = time.perf_counter() - t0
     ok = elapsed < 60.0

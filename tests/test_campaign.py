@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from uavlink import campaign
+from uavlink import campaign, simulation
 from uavlink.campaign import (
     ReportRow,
     RunMatrix,
@@ -14,7 +14,14 @@ from uavlink.campaign import (
     write_report_csv,
 )
 from uavlink.missions import MissionArchetype, synth_trace
-from uavlink.simulation import bs_position_for, physical_memory, run, run_bytes
+from uavlink.simulation import (
+    bs_position_for,
+    channel_pass,
+    mac_pass,
+    physical_memory,
+    run,
+    run_bytes,
+)
 
 MISSIONS = [MissionArchetype(k, duration=30.0) for k in (
     "overwatch_orbit",
@@ -195,6 +202,79 @@ class TestRunMatrix:
         assert [line.split()[5] for line in lines[2:]] == ["1", "2"]
 
 
+class TestRateGroups:
+    """Cells that differ only in rate run as one job, one channel stage between them,
+    and each writes what it writes when it runs alone."""
+
+    AXES = dict(missions=MISSIONS[:1], profiles=["mmwave"], source_rates=[400e6, 5e6],
+                bs_placements=["on_premise", "distant_2km"], sim_window=0.3)
+
+    @pytest.fixture
+    def channel_calls(self, monkeypatch):
+        calls = []
+
+        def counting_channel_pass(config, shadow):
+            calls.append(config)
+            return channel_pass(config, shadow)
+
+        monkeypatch.setattr(simulation, "channel_pass", counting_channel_pass)
+        return calls
+
+    @staticmethod
+    def alone(matrix, out):
+        """Each cell's ReportRow from a plain ``run`` of its config, outside any group."""
+        out.mkdir()
+        return [campaign._execute_cell((*cell, str(out), True)) for cell in matrix.cells]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_cell_equals_its_run_alone(self, tmp_path, workers):
+        matrix = small_matrix(**self.AXES)
+        rows, errors = run_matrix(matrix, tmp_path / "matrix", workers=workers, packet_logs=True)
+        assert errors == []
+        assert rows == sorted(self.alone(matrix, tmp_path / "alone"))
+        for name, *_ in matrix.cells:
+            for kind in ("snr", "packets"):
+                f = f"{name}_{kind}.csv"
+                assert (tmp_path / "matrix" / f).read_bytes() == (tmp_path / "alone" / f).read_bytes()
+
+    def test_one_channel_stage_per_group(self, tmp_path, channel_calls):
+        matrix = small_matrix(**self.AXES)
+        rows, errors = run_matrix(matrix, tmp_path)
+        assert (len(rows), errors) == (4, [])
+        assert [c.bs_position for c in channel_calls] == [
+            config.bs_position for *_, config in matrix.cells if config.source_rate == 400e6]
+
+    def test_a_failed_rate_fails_only_its_cell(self, tmp_path, monkeypatch, channel_calls):
+        def mac_pass_but_fail_400(config, snr, harq_rng):
+            if config.source_rate == 400e6:
+                raise ValueError("mac fails")
+            return mac_pass(config, snr, harq_rng)
+
+        monkeypatch.setattr(simulation, "mac_pass", mac_pass_but_fail_400)
+        matrix = small_matrix(**dict(self.AXES, bs_placements=["on_premise"]))
+        rows, errors = run_matrix(matrix, tmp_path / "matrix")
+        assert errors == ["overwatch_orbit_mmwave_64x16_400mbps_on_premise_s3: mac fails"]
+        assert len(channel_calls) == 1  # the 5 Mb/s cell, after the failure, reuses it
+        alone = small_matrix(**dict(self.AXES, source_rates=[5e6], bs_placements=["on_premise"]))
+        assert rows == self.alone(alone, tmp_path / "alone")
+        assert read_report_csv(tmp_path / "matrix" / "summary.csv") == rows
+
+    def test_a_failed_group_job_fails_each_of_its_cells(self, tmp_path, monkeypatch):
+        execute_group = campaign._execute_group
+
+        def fail_distant_groups(jobs):
+            if jobs[0][1][4] == "distant_2km":
+                raise RuntimeError("pool broke")
+            return execute_group(jobs)
+
+        monkeypatch.setattr(campaign, "_execute_group", fail_distant_groups)
+        rows, errors = run_matrix(small_matrix(**self.AXES), tmp_path)
+        assert [(r.rate_mbps, r.placement) for r in rows] == [(5.0, "on_premise"),
+                                                              (400.0, "on_premise")]
+        assert errors == [f"overwatch_orbit_mmwave_64x16_{rate}mbps_distant_2km_s3: pool broke"
+                          for rate in (400, 5)]
+
+
 class TestPoolSize:
     def test_capped_by_cells_and_cpus(self):
         cpus = os.cpu_count() or 1
@@ -207,11 +287,12 @@ class TestPoolSize:
             pool_size(0, 4, 1.0)
 
     def test_cells_that_do_not_fit_together_run_one_at_a_time(self, monkeypatch, tmp_path):
-        # Built, never run: two 1 Gb/s cells, 1000 and 1001 Mb/s, whose window makes
-        # each need about 0.6 of this host's physical memory. Each passes the
-        # refusal of a single run, but two at once would not fit.
+        # Built, never run: two 1 Gb/s cells, in two placements so that they are two
+        # jobs, whose window makes each need about 0.6 of this host's physical memory.
+        # Each passes the refusal of a single run, but two at once would not fit.
         physical = physical_memory()  # os.sysconf's page size times physical pages
-        gigabit = dict(missions=MISSIONS[:1], profiles=["mmwave"], source_rates=[1000e6, 1001e6])
+        gigabit = dict(missions=MISSIONS[:1], profiles=["mmwave"], source_rates=[1000e6],
+                       bs_placements=["on_premise", "distant_2km"])
         per_s = sum(run_bytes(small_matrix(**gigabit, sim_window=1.0).cells[1][2]))
         matrix = small_matrix(**gigabit, sim_window=round(0.6 * physical / per_s))
         need = [sum(run_bytes(config)) for *_, config in matrix.cells]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from uavlink import campaign
 from uavlink.campaign import REPORT_CSV_HEADER
 from uavlink.cli import main
+from uavlink.missions import archetype_by_name
 from uavlink.mobility import TRACE_CSV_HEADER, read_trace_csv
 from uavlink.phy import PROFILES
 from uavlink.simulation import BS_OFFSETS
@@ -105,6 +106,17 @@ def test_unknown_mission_exits_nonzero(tmp_path, capsys):
     rc = main(["simulate", "--mission", "orbit-the-moon", "--out", str(tmp_path)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_unknown_mission_message_has_one_wording(tmp_path, capsys):
+    rc = main(["synth-trace", "--mission", "bogus", "--out", str(tmp_path)])
+    with pytest.raises(ValueError) as lookup:
+        archetype_by_name("bogus")
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {lookup.value}\n"
+    assert str(lookup.value) == ("unknown mission kind 'bogus'; choose from overwatch_orbit, "
+                                 "search_lawnmower, perimeter_patrol, target_follow")
+    assert not any(tmp_path.iterdir())
 
 
 def test_missing_trace_file_exits_nonzero(tmp_path, capsys):

@@ -357,6 +357,40 @@ class TestSweepMatrixCells:
         assert (outcome == DELIVERED).sum() > 1000
 
 
+class TestHarqStream:
+    """mac_pass draws its HARQ uniforms a chunk ahead, in bulk, from harq_rng's own
+    MT19937 stream, and leaves harq_rng where those draws end, as draws with
+    ``random()`` would."""
+
+    @staticmethod
+    def draws_between(start, end, limit):
+        """How many ``random()`` calls take a generator from state start to state end."""
+        rng = random.Random()
+        rng.setstate(start)
+        for k in range(limit + 1):
+            if rng.getstate() == end:
+                return k
+            rng.random()
+        pytest.fail(f"state not reached in {limit} draws")
+
+    # Each chunk tops its uniforms up to one a slot, so a run of one chunk draws one a
+    # slot. A last chunk shorter than the draws left over from the one before draws none.
+    @pytest.mark.parametrize("n_slots, drawn", [
+        (700, 700), (_CHUNK_SLOTS + 5, _CHUNK_SLOTS), (3 * _CHUNK_SLOTS - 100, None)])
+    def test_end_state_is_the_oracles_plus_the_unused_draws(self, n_slots, drawn):
+        cfg = config("mmwave", n_slots, 10e6)
+        snr = around_thresholds(n_slots, seed=n_slots, centre=24)
+        got, want = random.Random(11), random.Random(11)
+        start = got.getstate()
+        mac_pass(cfg, snr, got)
+        oracle_mac_pass(cfg, snr, want)  # one random() an attempt
+        used = self.draws_between(start, want.getstate(), n_slots)
+        unused = self.draws_between(want.getstate(), got.getstate(), _CHUNK_SLOTS)
+        assert used > 0
+        if drawn is not None:
+            assert used + unused == drawn
+
+
 class TestArrivalCount:
     @settings(CI_SETTINGS, max_examples=200)
     @given(slot=st.sampled_from([125e-6, 1e-3]),

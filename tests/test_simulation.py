@@ -39,6 +39,7 @@ from uavlink.simulation import (
     MetricsLog,
     ScenarioConfig,
     Summary,
+    channel_pass,
     mac_pass,
     run,
     summarize,
@@ -157,6 +158,7 @@ class TestInvariants:
             write_snr_trace(log, tmp_path / f"{name}_snr.csv")
         assert (tmp_path / "a_packets.csv").read_bytes() == (tmp_path / "b_packets.csv").read_bytes()
         assert (tmp_path / "a_snr.csv").read_bytes() == (tmp_path / "b_snr.csv").read_bytes()
+        assert a.snr_series is not b.snr_series  # two channel stages: nothing is shared here
 
     def test_different_seeds_differ(self):
         a = run(scenario(window=1.0, seed=1))
@@ -249,6 +251,68 @@ class TestChannelPass:
         record_every = round(simulation.DEFAULT_SNR_SAMPLE_INTERVAL / slot)
         assert np.array_equal(samples.snr, snr[::record_every])
         assert np.array_equal(samples.t, np.arange(0, n, record_every) * slot)
+
+
+class TestSharedChannel:
+    """Inside ``shared_channel`` a run reuses the last channel stage, and the SNR writer
+    the last text, only for inputs the channel stage reads; outside it, neither."""
+
+    @pytest.fixture
+    def channel_calls(self, monkeypatch):
+        calls = []
+
+        def counting_channel_pass(config, shadow):
+            calls.append(config)
+            return channel_pass(config, shadow)
+
+        monkeypatch.setattr(simulation, "channel_pass", counting_channel_pass)
+        return calls
+
+    def test_equal_configs_outside_the_scope_run_two_channel_stages(self, channel_calls):
+        a, b = run(scenario(window=0.2)), run(scenario(window=0.2))
+        assert len(channel_calls) == 2 and a.snr_series is not b.snr_series
+        assert simulation._shared is None
+
+    def test_configs_that_differ_in_traffic_share_one_channel_stage(self, channel_calls,
+                                                                    tmp_path):
+        configs = [scenario(rate=5e6, window=0.2), scenario(rate=400e6, window=0.2),
+                   dataclasses.replace(scenario(window=0.2), payload=700)]
+        plain = [run(cfg) for cfg in configs]
+        del channel_calls[:]
+        with simulation.shared_channel():
+            logs = [run(cfg) for cfg in configs]
+            for i, log in enumerate(logs):
+                write_snr_trace(log, tmp_path / f"shared{i}.csv")
+        assert channel_calls == configs[:1]
+        assert all(log.snr_series is logs[0].snr_series for log in logs)
+        assert simulation._shared is None
+        for i, (got, want) in enumerate(zip(logs, plain, strict=True)):
+            assert got.deliver_slot.tobytes() == want.deliver_slot.tobytes()
+            assert got.outcome.tobytes() == want.outcome.tobytes()
+            assert got.snr_series.tobytes() == want.snr_series.tobytes()
+            write_snr_trace(want, tmp_path / f"plain{i}.csv")
+            assert ((tmp_path / f"shared{i}.csv").read_bytes()
+                    == (tmp_path / f"plain{i}.csv").read_bytes())
+
+    @pytest.mark.parametrize("change", [
+        dict(seed=8), dict(window=0.25), dict(antennas="16x4"), dict(placement="distant_2km"),
+        dict(profile="lte"),
+    ])
+    def test_any_channel_input_runs_a_new_channel_stage(self, channel_calls, change):
+        first, second = scenario(window=0.2), scenario(**{"window": 0.2, **change})
+        with simulation.shared_channel():
+            a, b, c = run(first), run(second), run(first)
+        assert channel_calls == [first, second, first]
+        assert a.snr_series is not b.snr_series and b.snr_series is not c.snr_series
+        assert a.snr_series.tobytes() == c.snr_series.tobytes()
+
+    def test_an_equal_trace_that_is_another_object_runs_a_new_channel_stage(self,
+                                                                           channel_calls):
+        first = scenario(window=0.2)
+        copy = dataclasses.replace(first, trace=dataclasses.replace(first.trace))
+        with simulation.shared_channel():
+            run(first), run(copy)
+        assert len(channel_calls) == 2
 
 
 class TestMacPass:

@@ -9,10 +9,11 @@ modified. Each side is checked out into its own ``git worktree`` under a tempora
 directory (or ``--work``), removed at the end.
 
 Each side runs, in a fresh process from its own ``src/``, the three commands of
-``perfbench/run.py``'s workloads at seeds 0 and 13, and one more matrix, the sweep
-matrix's axes with ``--antennas 64X16,16x4 --packet-logs`` over a 2 s window, and
-``synth-trace`` of each mission kind at seed 13 over 20 000 s (three 8192-row chunks
-of the trace writer). Both sides run the commands of this checkout's
+``perfbench/run.py``'s workloads at seeds 0 and 13, the sweep matrix again at
+``--workers 1`` (its cells in process, not in a pool) at both seeds, one more matrix,
+the sweep matrix's axes with ``--antennas 64X16,16x4 --packet-logs`` over a 2 s
+window, and ``synth-trace`` of each mission kind at seed 13 over 20 000 s (three
+8192-row chunks of the trace writer). Both sides run the commands of this checkout's
 ``perfbench/run.py`` on one machine, so numpy's SIMD paths and the Python version are
 the same on both.
 
@@ -48,6 +49,8 @@ def commands() -> dict[str, list[str]]:
     runs = {f"{name}-s{seed}": w.cli_args(seed, out)
             for name, w in WORKLOADS.items() for seed in SEEDS}
     sweep = WORKLOADS["sweep-matrix"]
+    for seed in SEEDS:  # the in-process path, beside the pool's
+        runs[f"sweep-matrix-workers-1-s{seed}"] = sweep.cli_args(seed, out, workers=1)
     args = sweep.cli_args(SEEDS[0], out, window_s=2.0)
     args[args.index("--antennas") + 1] = "64X16,16x4"
     runs["matrix-64X16-packet-logs-s0"] = args + ["--packet-logs"]
