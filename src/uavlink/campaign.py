@@ -19,6 +19,7 @@ from .phy import profile_by_name
 from .simulation import (
     ScenarioConfig,
     bs_position_for,
+    channel_key,
     physical_memory,
     run,
     run_bytes,
@@ -155,8 +156,8 @@ def _execute_cell(job) -> ReportRow:
 
 
 def _execute_group(jobs) -> list:
-    """Cells that differ only in rate, in grid order, sharing one channel stage and one
-    SNR CSV text (``shared_channel``): each cell's ReportRow, or the exception it raised."""
+    """Cells of one ``channel_key``, in grid order, sharing one channel stage and one SNR
+    CSV write (``shared_channel``): each cell's ReportRow, or the exception it raised."""
     results = []
     with shared_channel():
         for job in jobs:
@@ -176,31 +177,32 @@ def run_matrix(
 ) -> tuple[list[ReportRow], list[str]]:
     """Run every cell of ``matrix.cells``, write per-cell logs plus the summary table.
 
-    Cells whose coordinates differ only in rate run as one job (``_execute_group``),
-    so the pool has no more workers than such groups. Cell failures are collected and
-    reported, by cell name in grid order, without aborting the rest of the grid, and no
-    summary is written when none succeeds. Output files are independent of execution
-    order: rows are sorted by grid coordinates.
+    Cells with one ``channel_key`` (those that differ only in rate) run as one job
+    (``_execute_group``); see ``split_groups`` for when a pool gets more jobs than that.
+    Cell failures are collected and reported, by cell name in grid order, without
+    aborting the rest of the grid, and no summary is written when none succeeds. Output
+    files are independent of execution order: rows are sorted by grid coordinates.
     """
-    out = Path(out_dir)
-    groups: dict[tuple, list] = {}  # one job per group of cells that differ only in rate
-    for name, coordinates, config in matrix.cells:
-        groups.setdefault(coordinates[:3] + coordinates[4:], []).append(
-            (name, coordinates, config, str(out), packet_logs))
     largest = max(sum(run_bytes(config)) for *_, config in matrix.cells)
-    workers = pool_size(workers, len(groups), largest)
+    workers = pool_size(workers, len(matrix.cells), largest)
+    out = Path(out_dir)
+    groups: dict[tuple, list] = {}
+    for name, coordinates, config in matrix.cells:
+        groups.setdefault(channel_key(config), []).append(
+            (name, coordinates, config, str(out), packet_logs))
     out.mkdir(parents=True, exist_ok=True)
-    outcomes = {}  # by cell name: its ReportRow, or the exception it or its group raised
+    outcomes = {}  # by cell name: its ReportRow, or the exception it or its job raised
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        # Each group and its results as a call: its future's, or in process the group itself.
+        # Each job and its results as a call: its future's, or in process the job itself.
         results = [(jobs, pool.submit(_execute_group, jobs).result if pool
-                    else partial(_execute_group, jobs)) for jobs in groups.values()]
+                    else partial(_execute_group, jobs))
+                   for jobs in split_groups(groups.values(), workers)]
         for jobs, result in results:
             try:
-                group_outcomes = result()
+                job_outcomes = result()
             except Exception as exc:  # the job itself failed, e.g. a broken pool
-                group_outcomes = [exc] * len(jobs)
-            outcomes.update(zip((name for name, *_ in jobs), group_outcomes))
+                job_outcomes = [exc] * len(jobs)
+            outcomes.update(zip((name for name, *_ in jobs), job_outcomes))
     rows: list[ReportRow] = []
     errors: list[str] = []
     for name, *_ in matrix.cells:
@@ -216,14 +218,24 @@ def run_matrix(
     return rows, errors
 
 
-def pool_size(workers: int, jobs: int, cell_bytes: float) -> int:
-    """Worker processes for a matrix: no more than its jobs, this host's CPUs, or the
-    cells of ``cell_bytes`` each (see ``run_bytes``) that fit in physical memory at once;
-    a job runs its cells one at a time."""
+def split_groups(groups, workers: int) -> list[list]:
+    """Jobs for a pool of ``workers`` processes, no more than the cells: the groups, the
+    largest halved until there is a job for each worker. So the pool is never smaller
+    than with one job a cell, and a job's cells share a channel stage."""
+    jobs = list(groups)
+    while len(jobs) < workers:
+        large = jobs.pop(max(range(len(jobs)), key=lambda i: len(jobs[i])))
+        jobs += [large[:len(large) // 2], large[len(large) // 2:]]
+    return jobs
+
+
+def pool_size(workers: int, cells: int, cell_bytes: float) -> int:
+    """Worker processes for a matrix: no more than its cells, this host's CPUs, or the
+    cells of ``cell_bytes`` each (see ``run_bytes``) that fit in physical memory at once."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     fit = int(physical_memory() // cell_bytes)
-    return max(1, min(workers, jobs, os.cpu_count() or 1, fit))
+    return max(1, min(workers, cells, os.cpu_count() or 1, fit))
 
 
 def render_report(rows) -> str:

@@ -7,7 +7,8 @@ from __future__ import annotations
 import math
 import os
 import random
-from contextlib import contextmanager
+import shutil
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -176,11 +177,18 @@ def run_bytes(config: ScenarioConfig) -> tuple[float, float]:
 _shared: dict | None = None  # what runs reuse inside shared_channel(); None outside it
 
 
+def channel_key(config: ScenarioConfig) -> tuple:
+    """Every input of ``config``'s channel stage: all but its traffic. Configs with equal
+    keys (so the same trace object, as FlightTrace compares by identity) have one channel
+    stage, bit for bit."""
+    return (config.trace, config.profile, config.bs_array, config.uav_array,
+            config.bs_position, config.sim_window, config.seed)
+
+
 @contextmanager
 def shared_channel():
-    """Within the block, ``run`` reuses the last run's channel stage for a config that
-    differs from its config only in traffic (the same trace object, profile, arrays, BS
-    position, window and seed), and ``write_snr_trace`` the last text it formatted for
+    """Within the block, ``run`` reuses the last run's channel stage for a config with
+    the same ``channel_key``, and ``write_snr_trace`` copies the last file it wrote for
     the same samples. Leaving the block frees both. Outside any such block nothing is
     reused, so two equal configs run two channel stages."""
     global _shared
@@ -205,15 +213,12 @@ def run(config: ScenarioConfig) -> MetricsLog:
     harq_rng = random.Random(seeder.getrandbits(64))
     if _shared is None:
         snr, samples = channel_pass(config, shadow)
-    else:  # the channel ignores traffic: a config that differs only there shares it
-        key = (config.trace, config.profile, config.bs_array, config.uav_array,
-               config.bs_position, config.sim_window, config.seed)
-        last, channel = _shared.get("channel", (None, None))
-        if last is None or last[0] is not key[0] or last[1:] != key[1:]:
+    else:  # see shared_channel
+        key = channel_key(config)
+        if _shared.get("key") != key:
             _shared.clear()
-            channel = channel_pass(config, shadow)
-            _shared["channel"] = key, channel
-        snr, samples = channel
+            _shared["key"], _shared["channel"] = key, channel_pass(config, shadow)
+        snr, samples = _shared["channel"]
     deliver_slot, outcome = mac_pass(config, snr, harq_rng)
     return MetricsLog(config, deliver_slot, outcome, samples)
 
@@ -562,14 +567,15 @@ def write_packet_log(log: MetricsLog, path) -> None:
 
 def write_snr_trace(log: MetricsLog, path) -> None:
     rec = log.snr_series
+    if _shared is not None and _shared.get("snr_series") is rec:  # see shared_channel
+        with suppress(shutil.SameFileError):  # the same samples, so the same bytes
+            shutil.copyfile(_shared["snr_path"], path)
+        return
     cols = (rec.t, rec.distance_3d, rec.snr, rec.tx_gain, rec.rx_gain)
-    chunks = ("".join(map("{},{},{},{},{}\r\n".format,
-                          *(c[s0:s0 + _WRITE_ROWS].tolist() for c in cols)))
-              for s0 in range(0, len(rec), _WRITE_ROWS))
-    if _shared is not None:  # see shared_channel
-        if _shared.get("snr_series") is not rec:
-            _shared["snr_series"], _shared["snr_text"] = rec, list(chunks)
-        chunks = _shared["snr_text"]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(SNR_CSV_HEADER) + "\r\n")
-        fh.writelines(chunks)
+        for s0 in range(0, len(rec), _WRITE_ROWS):
+            fh.write("".join(map("{},{},{},{},{}\r\n".format,
+                                 *(c[s0:s0 + _WRITE_ROWS].tolist() for c in cols))))
+    if _shared is not None:
+        _shared["snr_series"], _shared["snr_path"] = rec, path

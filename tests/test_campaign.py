@@ -1,4 +1,5 @@
 import os
+from concurrent.futures import Future
 
 import pytest
 
@@ -275,6 +276,61 @@ class TestRateGroups:
                           for rate in (400, 5)]
 
 
+    @pytest.mark.parametrize("workers, channel_stages", [(2, 2), (4, 4)])
+    def test_fewer_groups_than_workers_are_split_to_fill_the_pool(
+            self, tmp_path, monkeypatch, channel_calls, workers, channel_stages):
+        # One group of four rates: each worker gets a job, and a job of two rates runs
+        # one channel stage. The pool runs its jobs in process here, on a 4-CPU host.
+        class InlinePool:
+            def __init__(self, max_workers):
+                assert max_workers == workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, jobs):
+                submitted.append([name for name, *_ in jobs])
+                future = Future()
+                future.set_result(fn(jobs))
+                return future
+
+        submitted = []
+        monkeypatch.setattr(campaign, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(campaign.os, "cpu_count", lambda: 4)
+        matrix = small_matrix(**dict(self.AXES, source_rates=[10e6, 100e6, 400e6, 1000e6],
+                                     bs_placements=["on_premise"]))
+        rows, errors = run_matrix(matrix, tmp_path / "matrix", workers=workers)
+        names = [name for name, *_ in matrix.cells]
+        assert sorted(map(len, submitted)) == [4 // workers] * workers
+        assert sorted(sum(submitted, [])) == sorted(names)
+        assert all(job == [n for n in names if n in job] for job in submitted)  # grid order
+        assert len(channel_calls) == channel_stages
+        assert errors == [] and rows == sorted(self.alone(matrix, tmp_path / "alone"))
+
+
+class TestSplitGroups:
+    @pytest.mark.parametrize("sizes, workers, jobs", [
+        ([2] * 12, 2, [2] * 12),  # the sweep matrix: more groups than workers, none split
+        ([4, 4, 4], 2, [4, 4, 4]),
+        ([4], 1, [4]),
+        ([4], 2, [2, 2]),
+        ([4], 4, [1, 1, 1, 1]),
+        ([5, 1], 4, [1, 1, 2, 2]),
+        ([3, 2], 5, [1, 1, 1, 1, 1]),
+    ])
+    def test_halves_the_largest_until_a_job_a_worker(self, sizes, workers, jobs):
+        cells = iter(range(sum(sizes)))
+        groups = [[next(cells) for _ in range(n)] for n in sizes]
+        got = campaign.split_groups(groups, workers)
+        assert sorted(map(len, got)) == jobs
+        assert sorted(sum(got, [])) == list(range(sum(sizes)))
+        assert all(any(job == g[i:i + len(job)] for g in groups for i in range(len(g)))
+                   for job in got)  # a run of one group's cells, in their order
+
+
 class TestPoolSize:
     def test_capped_by_cells_and_cpus(self):
         cpus = os.cpu_count() or 1
@@ -287,12 +343,11 @@ class TestPoolSize:
             pool_size(0, 4, 1.0)
 
     def test_cells_that_do_not_fit_together_run_one_at_a_time(self, monkeypatch, tmp_path):
-        # Built, never run: two 1 Gb/s cells, in two placements so that they are two
-        # jobs, whose window makes each need about 0.6 of this host's physical memory.
-        # Each passes the refusal of a single run, but two at once would not fit.
+        # Built, never run: two 1 Gb/s cells, 1000 and 1001 Mb/s, whose window makes
+        # each need about 0.6 of this host's physical memory. Each passes the
+        # refusal of a single run, but two at once would not fit.
         physical = physical_memory()  # os.sysconf's page size times physical pages
-        gigabit = dict(missions=MISSIONS[:1], profiles=["mmwave"], source_rates=[1000e6],
-                       bs_placements=["on_premise", "distant_2km"])
+        gigabit = dict(missions=MISSIONS[:1], profiles=["mmwave"], source_rates=[1000e6, 1001e6])
         per_s = sum(run_bytes(small_matrix(**gigabit, sim_window=1.0).cells[1][2]))
         matrix = small_matrix(**gigabit, sim_window=round(0.6 * physical / per_s))
         need = [sum(run_bytes(config)) for *_, config in matrix.cells]

@@ -255,7 +255,8 @@ class TestChannelPass:
 
 class TestSharedChannel:
     """Inside ``shared_channel`` a run reuses the last channel stage, and the SNR writer
-    the last text, only for inputs the channel stage reads; outside it, neither."""
+    copies the last file it wrote, only for inputs the channel stage reads; outside it,
+    neither."""
 
     @pytest.fixture
     def channel_calls(self, monkeypatch):
@@ -293,6 +294,15 @@ class TestSharedChannel:
             write_snr_trace(want, tmp_path / f"plain{i}.csv")
             assert ((tmp_path / f"shared{i}.csv").read_bytes()
                     == (tmp_path / f"plain{i}.csv").read_bytes())
+
+    def test_the_snr_file_written_again_to_its_own_path_keeps_its_bytes(self, tmp_path):
+        log = run(scenario(window=0.2))
+        write_snr_trace(log, tmp_path / "plain.csv")
+        with simulation.shared_channel():
+            for name in ("a.csv", "a.csv", "b.csv"):
+                write_snr_trace(log, tmp_path / name)
+        want = (tmp_path / "plain.csv").read_bytes()
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes() == want
 
     @pytest.mark.parametrize("change", [
         dict(seed=8), dict(window=0.25), dict(antennas="16x4"), dict(placement="distant_2km"),
