@@ -67,7 +67,7 @@ class RunMatrix:
     source_rates: list[float]  # b/s
     bs_placements: list[str]
     seeds: list[int]
-    sim_window: float = 60.0
+    sim_window: float
 
     def __post_init__(self):
         for axis, name in (
@@ -229,13 +229,20 @@ def split_groups(groups, workers: int) -> list[list]:
     return jobs
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def pool_size(workers: int, cells: int, cell_bytes: float) -> int:
-    """Worker processes for a matrix: no more than its cells, this host's CPUs, or the
+    """Worker processes for a matrix: no more than its cells, ``usable_cpus``, or the
     cells of ``cell_bytes`` each (see ``run_bytes``) that fit in physical memory at once."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     fit = int(physical_memory() // cell_bytes)
-    return max(1, min(workers, cells, os.cpu_count() or 1, fit))
+    return max(1, min(workers, cells, usable_cpus(), fit))
 
 
 def render_report(rows) -> str:
@@ -256,12 +263,11 @@ def render_report(rows) -> str:
 
 
 def write_report_csv(rows, path) -> None:
-    """Floats as their repr, so :func:`read_report_csv` reads them back exactly."""
+    """Floats as ``csv.writer`` writes them, their repr: :func:`read_report_csv` reads them."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_CSV_HEADER)
-        writer.writerows([repr(v) if isinstance(v, float) else v for v in astuple(r)]
-                         for r in rows)
+        writer.writerows(map(astuple, rows))
 
 
 def read_report_csv(path) -> list[ReportRow]:

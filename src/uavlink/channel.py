@@ -15,20 +15,6 @@ FSPL_MIN_DISTANCE = 1.0  # m, formula validity floor
 DECORRELATION_DISTANCE = 10.0  # m, shadowing correlation length
 
 
-@dataclass(frozen=True)
-class LinkProfile:
-    """Radio parameters of one carrier (frequencies in GHz, bandwidth in Hz)."""
-
-    carrier_freq: float
-    bandwidth: float
-    tx_power: float  # dBm
-    noise_figure: float  # dB
-
-    def __post_init__(self):
-        if self.carrier_freq <= 0 or self.bandwidth <= 0:
-            raise ValueError("carrier_freq and bandwidth must be positive")
-
-
 @dataclass
 class ShadowingField:
     """Log-normal shadowing, spatially correlated along the query path.

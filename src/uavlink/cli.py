@@ -21,6 +21,8 @@ from .phy import PROFILES
 from .simulation import BS_OFFSETS, run, summarize, write_packet_log, write_snr_trace
 
 DEFAULT_DECIMATE_S = 1.0
+DEFAULT_WINDOW_S = 60.0
+DEFAULT_SEED = 0
 BS_FLAGS = [p.replace("_", "-") for p in BS_OFFSETS]  # --bs spelling of each placement
 
 
@@ -49,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--speed-ms", type=float, default=MissionArchetype.speed)
     synth.add_argument("--altitude-m", type=float, default=MissionArchetype.altitude)
     synth.add_argument("--duration-s", type=float, default=MissionArchetype.duration)
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--seed", type=int, default=DEFAULT_SEED)
     synth.add_argument("--out", required=True, help="output directory")
 
     sim = sub.add_parser("simulate", help="run one scenario and write its logs")
@@ -59,8 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--antennas", default="64x16", help="BSxUAV element totals, e.g. 64x16")
     sim.add_argument("--rate-mbps", type=float, default=10.0)
     sim.add_argument("--bs", choices=BS_FLAGS, default=BS_FLAGS[0])
-    sim.add_argument("--window-s", type=float, default=60.0)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--window-s", type=float, default=DEFAULT_WINDOW_S)
+    sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sim.add_argument("--decimate-s", type=float, default=DEFAULT_DECIMATE_S,
                      help="minimum waypoint spacing in s applied to input traces; "
                           "0 keeps every waypoint")
@@ -74,10 +76,11 @@ def build_parser() -> argparse.ArgumentParser:
     mat.add_argument("--antennas", default="64x16,16x4", help="comma-separated combos")
     mat.add_argument("--rate-mbps", default="10,1000", help="comma-separated rates")
     mat.add_argument("--bs", default=BS_FLAGS[0], help="comma-separated placements")
-    mat.add_argument("--window-s", type=float, default=60.0)
-    mat.add_argument("--seed", type=int, default=0)
+    mat.add_argument("--window-s", type=float, default=DEFAULT_WINDOW_S)
+    mat.add_argument("--seed", type=int, default=DEFAULT_SEED)
     mat.add_argument("--workers", type=_positive_int, default=1,
-                     help="worker processes, capped by the cell and CPU counts")
+                     help="worker processes, capped by the cells and the CPUs this "
+                          "process may run on")
     mat.add_argument("--packet-logs", action="store_true",
                      help="also write per-cell packet CSVs (large at high rates)")
     mat.add_argument("--out", required=True, help="output directory")
@@ -142,8 +145,9 @@ def cmd_simulate(args) -> int:
             trace = decimate(trace, args.decimate_s)
         label = Path(args.trace).stem
     elif args.mission:
-        trace = synth_trace(archetype_by_name(args.mission), seed=args.seed)
-        label = args.mission.replace("-", "_")
+        arch = archetype_by_name(args.mission)
+        trace = synth_trace(arch, seed=args.seed)
+        label = arch.kind
     else:
         raise ValueError("simulate needs --trace or --mission")
     config = build_scenario(

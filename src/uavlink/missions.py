@@ -55,7 +55,7 @@ class MissionArchetype:
             raise ValueError(f"speed outside the small-UAV envelope: {self.speed}")
 
 
-def synth_trace(archetype: MissionArchetype, seed: int = 0) -> FlightTrace:
+def synth_trace(archetype: MissionArchetype, seed: int) -> FlightTrace:
     """Deterministic waypoint trace for an archetype, one waypoint per second.
 
     A zero-duration mission degenerates to the start point duplicated a

@@ -14,7 +14,7 @@ import numpy as np
 M_PER_DEG = 111_000.0
 
 TRACE_CSV_HEADER = ("t_s", "lat_deg", "lon_deg", "alt_m")
-_WRITE_ROWS = 8192  # CSV rows per write, as simulation's writers
+_WRITE_ROWS = 8192  # CSV rows per write (65536: +15 MB peak RSS, 120 s 10 Mb/s run)
 
 
 class TraceParseError(ValueError):
@@ -157,16 +157,21 @@ def read_csv(path, header: tuple[str, ...], error: type[ValueError] = ValueError
         raise error(f"{path}: {exc}") from None
 
 
-def write_trace_csv(trace: FlightTrace, path) -> None:
-    """Emit the trace in the geodetic CSV format, inverting the projection,
-    as ``csv.writer`` writes repr floats, a chunk of rows at a time."""
+def write_csv(path, header: tuple[str, ...], n_rows: int, chunk) -> None:
+    """Write ``header`` and ``n_rows`` rows of floats as ``csv.writer`` writes them (repr),
+    ``_WRITE_ROWS`` at a time; ``chunk(rows)`` gives the columns of the slice ``rows``."""
+    line = ",".join(["{}"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRACE_CSV_HEADER) + "\r\n")
-        for s0 in range(0, len(trace.t), _WRITE_ROWS):
-            rows = slice(s0, s0 + _WRITE_ROWS)
-            lat, lon = xy_to_latlon(trace.x[rows], trace.y[rows], trace.origin)
-            fh.write("".join(map("{},{},{},{}\r\n".format, trace.t[rows].tolist(), lat.tolist(),
-                                 lon.tolist(), trace.z[rows].tolist())))
+        fh.write(",".join(header) + "\r\n")
+        for s0 in range(0, n_rows, _WRITE_ROWS):
+            cols = chunk(slice(s0, s0 + _WRITE_ROWS))
+            fh.write("".join(map(line.format, *(c.tolist() for c in cols))))
+
+
+def write_trace_csv(trace: FlightTrace, path) -> None:
+    """Emit the trace in the geodetic CSV format, inverting the projection."""
+    write_csv(path, TRACE_CSV_HEADER, len(trace.t), lambda rows: (
+        trace.t[rows], *xy_to_latlon(trace.x[rows], trace.y[rows], trace.origin), trace.z[rows]))
 
 
 def decimate(trace: FlightTrace, min_spacing: float) -> FlightTrace:

@@ -6,10 +6,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
-
-from .channel import LinkProfile
 
 # AMC ladder: 29 steps from QPSK rate 0.076 up to 64-QAM rate 0.926, spectral
 # efficiency geometrically spaced between the two pinned endpoints.
@@ -21,10 +20,6 @@ BLER_MIDPOINT_OFFSET_DB = 1.1  # puts BLER(threshold) at 0.1
 BLER_SLOPE_DB = 0.5
 BLER_MIN = 1e-6
 BLER_MAX = 1.0 - 1e-6
-
-# Peak PHY rates the per-profile overhead factors are calibrated against.
-MMWAVE_PEAK_RATE = 3.2e9  # b/s at 1 GHz and the top MCS
-LTE_PEAK_RATE = 75.2e6  # b/s at 20 MHz and the top MCS
 
 
 @dataclass(frozen=True)
@@ -48,29 +43,6 @@ class TransportBlock:
     tx_count: int = 0
 
 
-@dataclass(frozen=True)
-class RatProfile:
-    """Frame-level parameters of one radio access technology."""
-
-    name: str
-    link: LinkProfile
-    slot_duration: float  # s
-    efficiency_factor: float  # control/reference overhead, calibrated
-    harq_rtt: int  # slots between retransmission attempts
-    max_harq_tx: int
-    scheduling_delay: float  # s added before a packet's first transmission; whole slots
-    mcs_table: tuple[McsEntry, ...]
-
-    def __post_init__(self):
-        if not 0 < self.efficiency_factor <= 1:
-            raise ValueError("efficiency_factor must be in (0, 1]")
-        if self.slot_duration <= 0:
-            raise ValueError("slot_duration must be positive")
-        wait = self.scheduling_delay / self.slot_duration
-        if not (math.isfinite(wait) and wait >= 0 and abs(wait - round(wait)) < 1e-9):
-            raise ValueError(f"scheduling_delay must be whole slots >= 0: {self.scheduling_delay}")
-
-
 def shannon_gap_threshold(se: float) -> float:
     """SNR needed for spectral efficiency ``se`` plus the implementation margin."""
     return 10.0 * math.log10(2.0**se - 1.0) + SHANNON_GAP_DB
@@ -82,17 +54,61 @@ def build_mcs_table() -> tuple[McsEntry, ...]:
                  for se in (SE_BOTTOM * ratio**i for i in range(MCS_TABLE_SIZE)))
 
 
-_DEFAULT_TABLE = build_mcs_table()
+@dataclass(frozen=True)
+class RatProfile:
+    """What differs between the radio access technologies; what they share is class constants."""
+
+    name: str
+    carrier_freq: float  # GHz
+    bandwidth: float  # Hz
+    slot_duration: float  # s
+    peak_rate: float  # b/s at the top MCS, which calibrates efficiency_factor
+    scheduling_delay: float  # s added before a packet's first transmission; whole slots
+    tx_power: ClassVar[float] = 30.0  # dBm
+    noise_figure: ClassVar[float] = 5.0  # dB
+    harq_rtt: ClassVar[int] = 4  # slots between retransmission attempts
+    max_harq_tx: ClassVar[int] = 3
+    mcs_table: ClassVar[tuple[McsEntry, ...]] = build_mcs_table()
+
+    def __post_init__(self):
+        if self.carrier_freq <= 0 or self.bandwidth <= 0:
+            raise ValueError("carrier_freq and bandwidth must be positive")
+        if not 0 < self.efficiency_factor <= 1:
+            raise ValueError(f"peak_rate {self.peak_rate} b/s puts efficiency_factor "
+                             "outside (0, 1]")
+        if self.slot_duration <= 0:
+            raise ValueError("slot_duration must be positive")
+        wait = self.scheduling_delay / self.slot_duration
+        if not (math.isfinite(wait) and wait >= 0 and abs(wait - round(wait)) < 1e-9):
+            raise ValueError(f"scheduling_delay must be whole slots >= 0: {self.scheduling_delay}")
+
+    @property
+    def efficiency_factor(self) -> float:  # control/reference overhead
+        return self.peak_rate / (SE_TOP * self.bandwidth)
+
+
+# The radio profiles by name; the first is the default.
+PROFILES = {p.name: p for p in (
+    # 28 GHz / 1 GHz NR-like: the top MCS carries 400 000 bits per 125 us slot.
+    RatProfile("mmwave", carrier_freq=28.0, bandwidth=1e9, slot_duration=125e-6,
+               peak_rate=3.2e9, scheduling_delay=0.0),
+    # 2.1 GHz / 20 MHz LTE-class, 1 ms TTI and a 4 ms grant cycle: 75 200 bits per TTI
+    # at the top MCS, so the frame design cannot reach sub-ms latency.
+    RatProfile("lte", carrier_freq=2.1, bandwidth=20e6, slot_duration=1e-3,
+               peak_rate=75.2e6, scheduling_delay=4e-3),
+)}
+
+
+def profile_by_name(name: str) -> RatProfile:
+    if name not in PROFILES:
+        raise ValueError(f"unknown profile {name!r}, expected {' or '.join(PROFILES)}")
+    return PROFILES[name]
 
 
 def tb_bits(profile: RatProfile, mcs: McsEntry) -> int:
     """Transport-block capacity of one slot at the given MCS."""
-    raw = (
-        mcs.spectral_efficiency
-        * profile.link.bandwidth
-        * profile.slot_duration
-        * profile.efficiency_factor
-    )
+    raw = (mcs.spectral_efficiency * profile.bandwidth * profile.slot_duration
+           * profile.efficiency_factor)
     return int(raw + 1e-6)  # guard against 399999.999... style fp error
 
 
@@ -129,53 +145,3 @@ def harq_step(
     if tb.tx_count >= max_harq_tx:
         return Outcome.DROPPED, current_slot
     return Outcome.RETRANSMIT, current_slot + harq_rtt
-
-
-def mmwave_profile() -> RatProfile:
-    """28 GHz / 1 GHz NR-like profile with a 125 us slot.
-
-    The overhead factor is calibrated once so the top MCS carries exactly
-    400000 bits per slot, a 3.2 Gb/s peak PHY rate.
-    """
-    link = LinkProfile(carrier_freq=28.0, bandwidth=1e9, tx_power=30.0, noise_figure=5.0)
-    slot = 125e-6
-    return RatProfile(
-        name="mmwave",
-        link=link,
-        slot_duration=slot,
-        efficiency_factor=MMWAVE_PEAK_RATE / (SE_TOP * link.bandwidth),
-        harq_rtt=4,
-        max_harq_tx=3,
-        scheduling_delay=0.0,
-        mcs_table=_DEFAULT_TABLE,
-    )
-
-
-def lte_profile() -> RatProfile:
-    """2.1 GHz / 20 MHz LTE-class profile: 1 ms TTI and a 4 ms grant cycle.
-
-    Calibrated to a 75.2 Mb/s peak PHY rate (75200 bits per TTI at the top
-    MCS); the frame design cannot reach sub-ms latency by construction.
-    """
-    link = LinkProfile(carrier_freq=2.1, bandwidth=20e6, tx_power=30.0, noise_figure=5.0)
-    slot = 1e-3
-    return RatProfile(
-        name="lte",
-        link=link,
-        slot_duration=slot,
-        efficiency_factor=LTE_PEAK_RATE / (SE_TOP * link.bandwidth),
-        harq_rtt=4,
-        max_harq_tx=3,
-        scheduling_delay=4e-3,
-        mcs_table=_DEFAULT_TABLE,
-    )
-
-
-# The radio profiles by name; the first is the default.
-PROFILES = {"mmwave": mmwave_profile, "lte": lte_profile}
-
-
-def profile_by_name(name: str) -> RatProfile:
-    if name not in PROFILES:
-        raise ValueError(f"unknown profile {name!r}, expected {' or '.join(PROFILES)}")
-    return PROFILES[name]()

@@ -22,7 +22,7 @@ from .beamforming import (
     array_basis,
 )
 from .channel import ShadowingField, doppler_shift, fspl_db, noise_floor_dbm
-from .mobility import FlightTrace, TrajectorySampler
+from .mobility import _WRITE_ROWS, FlightTrace, TrajectorySampler, write_csv
 from .phy import Outcome, RatProfile, TransportBlock, harq_step
 
 DEFAULT_BS_HEIGHT = 25.0  # m
@@ -50,7 +50,6 @@ SAMPLE_DTYPE = np.dtype([(name, np.float64) for name in (
 
 _T_EPS = 1e-9
 _CHUNK_SLOTS = 2048  # channel-stage chunk; its temporaries add to peak RSS (4096: +2.8 %)
-_WRITE_ROWS = 8192  # CSV rows per write (65536: +15 MB peak RSS, 120 s 10 Mb/s run)
 
 
 def bs_position_for(trace: FlightTrace, placement: str) -> tuple[float, float, float]:
@@ -70,9 +69,9 @@ class ScenarioConfig:
     uav_array: ArrayConfig
     source_rate: float  # b/s of payload bits
     bs_position: tuple[float, float, float]  # see bs_position_for
+    sim_window: float  # s
+    seed: int
     payload: int = DEFAULT_PAYLOAD  # bytes
-    sim_window: float = 60.0  # s
-    seed: int = 0
     header_overhead: ClassVar[int] = 28  # bytes, IP + UDP
 
     def __post_init__(self):
@@ -248,13 +247,12 @@ def channel_pass(config: ScenarioConfig, shadow: ShadowingField) -> tuple[np.nda
     tracker = BeamTracker(config.bs_array, config.uav_array)
     sampler = TrajectorySampler(config.trace)
 
-    link = prof.link
-    nf = noise_floor_dbm(link.bandwidth, link.noise_figure)
-    fc = link.carrier_freq
+    nf = noise_floor_dbm(prof.bandwidth, prof.noise_figure)
+    fc = prof.carrier_freq
 
     snr_arr = np.empty(n_slots)
     samples = np.empty(-(-n_slots // record_every), dtype=SAMPLE_DTYPE)
-    samples["tx_power"], samples["noise_floor"] = link.tx_power, nf
+    samples["tx_power"], samples["noise_floor"] = prof.tx_power, nf
 
     for s0 in range(0, n_slots, _CHUNK_SLOTS):
         t = np.arange(s0, min(s0 + _CHUNK_SLOTS, n_slots)) * slot
@@ -271,7 +269,7 @@ def channel_pass(config: ScenarioConfig, shadow: ShadowingField) -> tuple[np.nda
         tx_db = 10.0 * np.log10(np.maximum(gtx, GAIN_FLOOR_LINEAR))
         rx_db = 10.0 * np.log10(np.maximum(grx, GAIN_FLOOR_LINEAR))
         pl = fspl_db(dist, fc)
-        snr = link.tx_power + tx_db + rx_db - pl - sh - nf
+        snr = prof.tx_power + tx_db + rx_db - pl - sh - nf
         snr_arr[s0:s0 + len(t)] = snr
 
         # Recorded samples: every record_every-th slot of the run.
@@ -572,10 +570,6 @@ def write_snr_trace(log: MetricsLog, path) -> None:
             shutil.copyfile(_shared["snr_path"], path)
         return
     cols = (rec.t, rec.distance_3d, rec.snr, rec.tx_gain, rec.rx_gain)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(SNR_CSV_HEADER) + "\r\n")
-        for s0 in range(0, len(rec), _WRITE_ROWS):
-            fh.write("".join(map("{},{},{},{},{}\r\n".format,
-                                 *(c[s0:s0 + _WRITE_ROWS].tolist() for c in cols))))
+    write_csv(path, SNR_CSV_HEADER, len(rec), lambda rows: [c[rows] for c in cols])
     if _shared is not None:
         _shared["snr_series"], _shared["snr_path"] = rec, path

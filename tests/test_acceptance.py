@@ -22,7 +22,7 @@ from uavlink.campaign import build_scenario
 from uavlink.channel import ShadowingField, doppler_shift, fspl_db
 from uavlink.missions import MissionArchetype, synth_trace
 from uavlink.mobility import TrajectorySampler
-from uavlink.phy import mmwave_profile
+from uavlink.phy import PROFILES
 from uavlink.simulation import channel_pass, run, summarize
 
 SEED = 42
@@ -183,7 +183,7 @@ def test_criterion_7_property_suite(monkeypatch):
         assert s_i.generated == s_i.delivered + s_i.dropped_buffer + s_i.dropped_harq + s_i.in_flight
 
     # Monotone MCS selection.
-    thresholds = np.array([e.snr_threshold for e in mmwave_profile().mcs_table])
+    thresholds = np.array([e.snr_threshold for e in PROFILES["mmwave"].mcs_table])
     rng = random.Random(5)
     snrs = sorted(rng.uniform(-20, 45) for _ in range(500))
     indices = (thresholds.searchsorted(snrs, side="right") - 1).tolist()

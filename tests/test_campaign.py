@@ -1,4 +1,3 @@
-import os
 from concurrent.futures import Future
 
 import pytest
@@ -56,6 +55,7 @@ class TestMatrixShape:
             source_rates=[1000e6],
             bs_placements=["on_premise"],
             seeds=[0],
+            sim_window=60.0,
         )
         assert len(expand_cells(matrix)) == 12
 
@@ -299,7 +299,7 @@ class TestRateGroups:
 
         submitted = []
         monkeypatch.setattr(campaign, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(campaign.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(campaign, "usable_cpus", lambda: 4)
         matrix = small_matrix(**dict(self.AXES, source_rates=[10e6, 100e6, 400e6, 1000e6],
                                      bs_placements=["on_premise"]))
         rows, errors = run_matrix(matrix, tmp_path / "matrix", workers=workers)
@@ -333,10 +333,17 @@ class TestSplitGroups:
 
 class TestPoolSize:
     def test_capped_by_cells_and_cpus(self):
-        cpus = os.cpu_count() or 1
+        cpus = campaign.usable_cpus()
         assert pool_size(64, 3, 1.0) == min(3, cpus)
         assert pool_size(10_000, 10_000, 1.0) == cpus
         assert pool_size(1, 24, 1.0) == 1
+
+    def test_capped_by_the_cpus_this_process_may_run_on(self, monkeypatch):
+        # As under ``taskset -c 0`` on a larger host: one CPU in the affinity mask.
+        monkeypatch.setattr(campaign.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(campaign.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert campaign.usable_cpus() == 1
+        assert pool_size(2, 24, 1.0) == 1
 
     def test_rejects_fewer_than_one(self):
         with pytest.raises(ValueError, match="at least 1"):
@@ -352,7 +359,7 @@ class TestPoolSize:
         matrix = small_matrix(**gigabit, sim_window=round(0.6 * physical / per_s))
         need = [sum(run_bytes(config)) for *_, config in matrix.cells]
         assert all(0.55 * physical < b < 0.65 * physical for b in need)
-        assert pool_size(2, 2, 1.0) == min(2, os.cpu_count() or 1)
+        assert pool_size(2, 2, 1.0) == min(2, campaign.usable_cpus())
         assert pool_size(2, 2, max(need)) == 1
         # So run_matrix starts no pool and runs the cells (stubs here) one at a time.
         monkeypatch.setattr(campaign, "ProcessPoolExecutor",

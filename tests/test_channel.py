@@ -8,7 +8,7 @@ from channel_oracle import gauss_markov_shadowing
 from uavlink.beamforming import ArrayConfig
 from uavlink.channel import ShadowingField, doppler_shift, fspl_db, noise_floor_dbm
 from uavlink.mobility import FlightTrace, GeoPoint, TrajectorySampler
-from uavlink.phy import mmwave_profile
+from uavlink.phy import PROFILES
 from uavlink.simulation import ScenarioConfig, channel_pass
 
 
@@ -173,9 +173,9 @@ def fspl_28ghz(d):
 def pass_over(points, bs_position, bs_array, uav_array, sigma=0.0, seed=0):
     """channel_pass over 20 ms of a trace through ``points`` (t, x, y, z)."""
     trace = FlightTrace(GeoPoint(0.0, 30.0, 0.0, 30.0), *zip(*points))
-    cfg = ScenarioConfig(trace=trace, profile=mmwave_profile(), bs_array=bs_array,
+    cfg = ScenarioConfig(trace=trace, profile=PROFILES["mmwave"], bs_array=bs_array,
                          uav_array=uav_array, source_rate=1e6, bs_position=bs_position,
-                         sim_window=0.02)
+                         sim_window=0.02, seed=0)
     return channel_pass(cfg, ShadowingField(sigma=sigma, seed=seed))
 
 

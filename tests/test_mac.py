@@ -17,7 +17,7 @@ from uavlink import simulation
 from uavlink.campaign import build_scenario
 from uavlink.channel import ShadowingField
 from uavlink.missions import MissionArchetype, synth_trace
-from uavlink.phy import BLER_MAX, BLER_MIN, Outcome, bler, lte_profile, mmwave_profile, tb_bits
+from uavlink.phy import BLER_MAX, BLER_MIN, PROFILES, Outcome, bler, tb_bits
 from uavlink.simulation import (
     _CHUNK_SLOTS,
     DELIVERED,
@@ -31,8 +31,7 @@ from uavlink.simulation import (
 )
 
 TRACE = synth_trace(MissionArchetype("overwatch_orbit", duration=120.0), seed=1)
-PROFILES = {"mmwave": mmwave_profile(), "lte": lte_profile()}
-THRESHOLDS = np.array([e.snr_threshold for e in mmwave_profile().mcs_table])
+THRESHOLDS = np.array([e.snr_threshold for e in PROFILES["mmwave"].mcs_table])
 OUTAGE = THRESHOLDS[0] - 10.0
 CI_SETTINGS = settings(deadline=None, derandomize=True, max_examples=40)
 MAX_RANDOM_PACKETS = 20000  # keeps the per-packet oracle fast
@@ -97,7 +96,7 @@ class TestAgainstOracle:
     def test_harq_drops_discard_the_partly_sent_packet(self):
         # The pattern of test_harq_drops_after_the_attempt_budget: top-MCS blocks
         # (400000 bits, not a whole number of packets) fail all three attempts.
-        prof = mmwave_profile()
+        prof = PROFILES["mmwave"]
         snr = np.full(8000, OUTAGE)
         snr[0::12] = THRESHOLDS[-1]
         snr[4::12] = snr[8::12] = THRESHOLDS[0] + 0.1
@@ -175,7 +174,7 @@ CLEAR = TOP + 40.0  # BLER_MIN at the top MCS
 def failing_draw_seed(attempt=0):
     """A HARQ seed whose uniform ``attempt`` fails a top-MCS block sent on its threshold,
     and whose earlier ones pass blocks sent at BLER_MIN."""
-    p_err = bler(mmwave_profile().mcs_table[-1].snr_threshold, TOP)
+    p_err = bler(PROFILES["mmwave"].mcs_table[-1].snr_threshold, TOP)
     for seed in range(1000):
         rng = random.Random(seed)
         draws = [rng.random() for _ in range(attempt + 1)]

@@ -11,19 +11,20 @@ from hypothesis import strategies as st
 from uavlink.phy import (
     BLER_MAX,
     BLER_MIN,
+    PROFILES,
+    SE_TOP,
     McsEntry,
     Outcome,
+    RatProfile,
     TransportBlock,
     bler,
     build_mcs_table,
     harq_step,
-    lte_profile,
-    mmwave_profile,
     shannon_gap_threshold,
     tb_bits,
 )
 
-TABLE = mmwave_profile().mcs_table
+TABLE = PROFILES["mmwave"].mcs_table
 THRESHOLDS = [e.snr_threshold for e in TABLE]
 
 
@@ -80,13 +81,13 @@ class TestSelectMcs:
 
 class TestTbBits:
     def test_mmwave_peak_calibration(self):
-        prof = mmwave_profile()
+        prof = PROFILES["mmwave"]
         top = tb_bits(prof, TABLE[-1])
         assert top == 400_000
         assert top / prof.slot_duration == pytest.approx(3.2e9, rel=1e-12)
 
     def test_lte_peak_calibration(self):
-        prof = lte_profile()
+        prof = PROFILES["lte"]
         top = tb_bits(prof, TABLE[-1])
         assert top == 75_200
         assert top / prof.slot_duration == pytest.approx(75.2e6, rel=1e-12)
@@ -96,12 +97,12 @@ class TestTbBits:
         assert 3.2e9 / 75.2e6 == pytest.approx(42.55, abs=0.01)
 
     def test_zero_se_entry(self):
-        prof = mmwave_profile()
+        prof = PROFILES["mmwave"]
         zero = McsEntry(0.0, -50.0)
         assert tb_bits(prof, zero) == 0
 
     def test_monotone_in_se(self):
-        prof = mmwave_profile()
+        prof = PROFILES["mmwave"]
         sizes = [tb_bits(prof, e) for e in TABLE]
         assert sizes == sorted(sizes)
 
@@ -183,21 +184,38 @@ class TestHarqStep:
 
 class TestProfiles:
     def test_slot_durations(self):
-        assert mmwave_profile().slot_duration == 125e-6
-        assert lte_profile().slot_duration == 1e-3
+        assert PROFILES["mmwave"].slot_duration == 125e-6
+        assert PROFILES["lte"].slot_duration == 1e-3
 
     def test_lte_scheduling_delay(self):
-        assert lte_profile().scheduling_delay == 4e-3
-        assert mmwave_profile().scheduling_delay == 0.0
+        assert PROFILES["lte"].scheduling_delay == 4e-3
+        assert PROFILES["mmwave"].scheduling_delay == 0.0
 
     @pytest.mark.parametrize("delay", [1.5e-3, -1e-3])
     def test_scheduling_delay_is_whole_non_negative_slots(self, delay):
         with pytest.raises(ValueError, match="scheduling_delay must be whole slots"):
-            dataclasses.replace(lte_profile(), scheduling_delay=delay)
+            dataclasses.replace(PROFILES["lte"], scheduling_delay=delay)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"carrier_freq": 0.0}, "carrier_freq and bandwidth must be positive"),
+        ({"bandwidth": -20e6}, "carrier_freq and bandwidth must be positive"),
+        ({"peak_rate": 0.0}, r"efficiency_factor outside \(0, 1\]"),
+        ({"peak_rate": 1.01 * SE_TOP * 20e6}, r"efficiency_factor outside \(0, 1\]"),
+        ({"slot_duration": 0.0}, "slot_duration must be positive"),
+        ({"slot_duration": -1e-3}, "slot_duration must be positive"),
+    ])
+    def test_refusals(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(PROFILES["lte"], **change)
+
+    def test_shared_values_are_not_fields(self):
+        assert [f.name for f in dataclasses.fields(RatProfile)] == [
+            "name", "carrier_freq", "bandwidth", "slot_duration", "peak_rate", "scheduling_delay"]
+        assert PROFILES["lte"].mcs_table is PROFILES["mmwave"].mcs_table
 
     def test_efficiency_factors_near_documented_values(self):
-        assert mmwave_profile().efficiency_factor == pytest.approx(0.5761, abs=5e-4)
-        assert lte_profile().efficiency_factor == pytest.approx(0.6769, abs=5e-4)
+        assert PROFILES["mmwave"].efficiency_factor == pytest.approx(0.5761, abs=5e-4)
+        assert PROFILES["lte"].efficiency_factor == pytest.approx(0.6769, abs=5e-4)
 
     def test_shannon_gap_helper(self):
         assert shannon_gap_threshold(1.0) == pytest.approx(3.0, abs=1e-12)

@@ -25,7 +25,7 @@ from uavlink.campaign import build_scenario
 from uavlink.channel import ShadowingField, fspl_db, noise_floor_dbm
 from uavlink.missions import MissionArchetype, synth_trace
 from uavlink.mobility import FlightTrace, GeoPoint
-from uavlink.phy import BLER_MAX, Outcome, bler, mmwave_profile
+from uavlink.phy import BLER_MAX, PROFILES, Outcome, bler
 from uavlink.simulation import (
     DEFAULT_BUFFER_LIMIT,
     DELIVERED,
@@ -173,13 +173,13 @@ class TestGoodputConvergence:
         # SNR 0.3 dB above a mid-table threshold for a meaningful error rate.
         from uavlink.channel import fspl_db
         from uavlink.mobility import FlightTrace, GeoPoint
-        from uavlink.phy import bler, mmwave_profile, tb_bits
+        from uavlink.phy import bler, tb_bits
 
-        prof = mmwave_profile()
+        prof = PROFILES["mmwave"]
         entry = prof.mcs_table[20]
         target_snr = entry.snr_threshold + 0.3
         # snr = tx_power - fspl(d) - noise_floor with 0 dB gains
-        fspl_needed = prof.link.tx_power + 79.0 - target_snr
+        fspl_needed = prof.tx_power + 79.0 - target_snr
         d = 10 ** ((fspl_needed - 32.4 - 20 * math.log10(28.0)) / 20.0)
         hover = FlightTrace(GeoPoint(0.0, 30.0, 0.0, 25.0), t=(0.0, 100.0), x=(d, d),
                             y=(0.0, 0.0), z=(25.0, 25.0))
@@ -219,9 +219,9 @@ class TestChannelPass:
             (0.6, 6.5, 9.0, 30.0), (0.61, 6.8, 9.1, 30.0),
             (1.05, -4.0, 3.0, 32.0), (3.0, -4.0, 3.0, 32.0),
         ))
-        cfg = ScenarioConfig(trace=trace, profile=mmwave_profile(), bs_array=ArrayConfig(4, 4),
+        cfg = ScenarioConfig(trace=trace, profile=PROFILES["mmwave"], bs_array=ArrayConfig(4, 4),
                              uav_array=ArrayConfig(2, 2), source_rate=10e6,
-                             bs_position=(60.0, -25.0, 25.0), sim_window=1.3)
+                             bs_position=(60.0, -25.0, 25.0), sim_window=1.3, seed=0)
         slot = cfg.profile.slot_duration
         n = round(cfg.sim_window / slot)
         assert n > simulation._CHUNK_SLOTS and n % simulation._CHUNK_SLOTS
@@ -232,8 +232,8 @@ class TestChannelPass:
         bs = np.array(cfg.bs_position)
         bs_basis = array_basis(tuple(np.array(trace.centroid()) - bs))
         uav_basis = array_basis((0.0, 0.0, -1.0))
-        link = cfg.profile.link
-        nf = noise_floor_dbm(link.bandwidth, link.noise_figure)
+        prof = cfg.profile
+        nf = noise_floor_dbm(prof.bandwidth, prof.noise_figure)
         expect = np.empty(n)
         epoch = -1
         for s, pos in enumerate(positions):
@@ -245,8 +245,8 @@ class TestChannelPass:
                 tx_beam, rx_beam = best_beam(cfg.uav_array, uav_geom), best_beam(cfg.bs_array, bs_geom)
             gains = (beam_gain_db(cfg.uav_array, tx_beam, uav_geom)
                      + beam_gain_db(cfg.bs_array, rx_beam, bs_geom))
-            pl = fspl_db(float(np.linalg.norm(bs - pos)), link.carrier_freq)
-            expect[s] = link.tx_power + gains - pl - shadowing[s] - nf
+            pl = fspl_db(float(np.linalg.norm(bs - pos)), prof.carrier_freq)
+            expect[s] = prof.tx_power + gains - pl - shadowing[s] - nf
         assert np.abs(snr - expect).max() < 1e-9
         record_every = round(simulation.DEFAULT_SNR_SAMPLE_INTERVAL / slot)
         assert np.array_equal(samples.snr, snr[::record_every])
@@ -328,8 +328,8 @@ class TestSharedChannel:
 class TestMacPass:
     """The MAC stage alone, driven by synthetic per-slot SNR arrays."""
 
-    SLOT = mmwave_profile().slot_duration
-    THRESHOLDS = [e.snr_threshold for e in mmwave_profile().mcs_table]
+    SLOT = PROFILES["mmwave"].slot_duration
+    THRESHOLDS = [e.snr_threshold for e in PROFILES["mmwave"].mcs_table]
 
     def mac(self, snr, rate=10e6, seed=5):
         cfg = scenario(rate=rate, window=len(snr) * self.SLOT)
@@ -379,7 +379,7 @@ class TestMacPass:
         # of every 12-slot period (BLER ~0.1), and its retransmissions 4 and 8
         # slots later see an SNR at which that MCS has BLER_MAX. Other slots
         # are in outage.
-        prof = mmwave_profile()
+        prof = PROFILES["mmwave"]
         snr = np.full(8000, self.THRESHOLDS[0] - 10.0)
         snr[0::12] = self.THRESHOLDS[-1]
         snr[4::12] = snr[8::12] = self.THRESHOLDS[0] + 0.1
@@ -772,12 +772,13 @@ class TestConfigValidation:
             with pytest.raises(ValueError):
                 ScenarioConfig(
                     trace=TRACE,
-                    profile=mmwave_profile(),
+                    profile=PROFILES["mmwave"],
                     bs_array=None,
                     uav_array=None,
                     source_rate=1e6,
                     bs_position=(0.0, 0.0, 25.0),
                     sim_window=window,
+                    seed=0,
                 )
 
     def test_refusal_counts_the_temporaries_of_summarize(self, monkeypatch):
@@ -800,7 +801,7 @@ class TestConfigValidation:
         # Sized, not run: a host with 2**50 bytes of memory, a 1 kb/s source.
         monkeypatch.setattr(simulation, "os", SimpleNamespace(
             sysconf=lambda name: 2**50 if name == "SC_PHYS_PAGES" else 1))
-        slot = mmwave_profile().slot_duration
+        slot = PROFILES["mmwave"].slot_duration
         for n_slots, dtype, width in ((2**31 - 1, np.int32, 4), (2**31, np.int64, 8)):
             cfg = scenario(rate=1e3, window=n_slots * slot)
             n, max_pk, _, slot_dtype = simulation._array_sizes(cfg)

@@ -10,7 +10,9 @@ directory (or ``--work``), removed at the end.
 
 Each side runs, in a fresh process from its own ``src/``, the three commands of
 ``perfbench/run.py``'s workloads at seeds 0 and 13, the sweep matrix again at
-``--workers 1`` (its cells in process, not in a pool) at both seeds, one more matrix,
+``--workers 1`` (its cells in process, not in a pool) at both seeds, an LTE ``simulate``
+at 100 Mb/s from the distant placement over 10 s at both seeds (saturated: buffer drops
+and HARQ retransmissions in its packet CSV), one more matrix,
 the sweep matrix's axes with ``--antennas 64X16,16x4 --packet-logs`` over a 2 s
 window, and ``synth-trace`` of each mission kind at seed 13 over 20 000 s (three
 8192-row chunks of the trace writer). Both sides run the commands of this checkout's
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import os
 import shutil
@@ -51,6 +54,10 @@ def commands() -> dict[str, list[str]]:
     sweep = WORKLOADS["sweep-matrix"]
     for seed in SEEDS:  # the in-process path, beside the pool's
         runs[f"sweep-matrix-workers-1-s{seed}"] = sweep.cli_args(seed, out, workers=1)
+    lte = dataclasses.replace(WORKLOADS["gigabit-orbit"], profiles=("lte",), rates_mbps=("100",),
+                              placements=("distant-2km",))
+    for seed in SEEDS:
+        runs[f"lte-100mbps-distant-2km-s{seed}"] = lte.cli_args(seed, out)
     args = sweep.cli_args(SEEDS[0], out, window_s=2.0)
     args[args.index("--antennas") + 1] = "64X16,16x4"
     runs["matrix-64X16-packet-logs-s0"] = args + ["--packet-logs"]
