@@ -50,6 +50,7 @@ SAMPLE_DTYPE = np.dtype([(name, np.float64) for name in (
 
 _T_EPS = 1e-9
 _CHUNK_SLOTS = 2048  # channel-stage chunk; its temporaries add to peak RSS (4096: +2.8 %)
+_SUMMARY_ROWS = 32768  # rows per chunk of summarize (8192: 1.2x its time over the sweep cells)
 
 
 def bs_position_for(trace: FlightTrace, placement: str) -> tuple[float, float, float]:
@@ -163,13 +164,12 @@ def _array_sizes(config: ScenarioConfig) -> tuple[int, int, int, np.dtype]:
 
 
 def run_bytes(config: ScenarioConfig) -> tuple[float, float]:
-    """Bytes of a run's packet arrays and of its channel arrays, each with the
-    temporaries of ``summarize``."""
+    """Bytes of a run's packet arrays and of its channel arrays. ``summarize`` and the
+    writers add only temporaries of a chunk each, whatever the run's length."""
     n_slots, max_pk, record_every, slot_dtype = _array_sizes(config)
-    # deliver_slot and outcome; summarize's delivered mask and latencies.
-    packet_bytes = max_pk * (slot_dtype.itemsize + 1 + 1 + 8.0)
-    # Per-slot SNR; each recorded sample, and summarize's running sum of their SNR.
-    snr_bytes = n_slots * 8.0 + -(-n_slots // record_every) * (SAMPLE_DTYPE.itemsize + 8.0)
+    packet_bytes = max_pk * (slot_dtype.itemsize + 1.0)  # deliver_slot and outcome
+    # Per-slot SNR, and each recorded sample.
+    snr_bytes = n_slots * 8.0 + -(-n_slots // record_every) * SAMPLE_DTYPE.itemsize
     return packet_bytes, snr_bytes
 
 
@@ -457,26 +457,38 @@ def mac_pass(config: ScenarioConfig, snr, harq_rng: random.Random) -> tuple[np.n
 
 
 def summarize(log: MetricsLog) -> Summary:
-    """Mission-level statistics, recomputed from the packet columns every call."""
+    """Mission-level statistics, recomputed from the packet columns every call.
+
+    The latency statistics are bit for bit ``np.mean``, ``np.median`` and
+    ``np.percentile(..., 99)`` of ``t_deliver - t_gen`` over the delivered packets, but
+    no array is sized by the packet count: the latencies are streamed a chunk at a time,
+    twice (``_latencies``)."""
     n = log.n_packets
     snr = log.snr_series.snr
-    counts = np.bincount(log.outcome, minlength=len(OUTCOME_NAMES)).tolist()
+    counts = [0] * len(OUTCOME_NAMES)
+    for r0 in range(0, n, _SUMMARY_ROWS):
+        chunk = log.outcome[r0:r0 + _SUMMARY_ROWS]
+        counts = [c + int(np.count_nonzero(chunk == code)) for code, c in enumerate(counts)]
     in_flight, delivered, dropped_buffer, dropped_harq = counts
-    delivered_mask = log.outcome == DELIVERED
     window = log.config.sim_window
     throughput = float(delivered * _packet_bits(log.config)) / window if window > 0 else 0.0
     if delivered:
-        lat, at = np.empty(delivered), 0  # the one latency-sized array, a chunk at a time
-        for r0 in range(0, n, _WRITE_ROWS):
-            mask = delivered_mask[r0:r0 + _WRITE_ROWS]
-            t_gen, t_deliver = (c[mask] for c in log.columns(r0, r0 + _WRITE_ROWS))
-            lat[at:at + len(t_gen)] = t_deliver - t_gen
-            at += len(t_gen)
-        mean_lat = float(lat.mean())  # before the order statistics reorder lat
-        median_lat = float(np.median(lat, overwrite_input=True))
-        p99_lat = float(np.percentile(lat, 99, overwrite_input=True))
+        hist = _Histogram()
+        mean_lat = _pairwise_sum(delivered, _taker(map(hist.add, _latencies(log)))) / delivered
+        # np.median's mean of the middle one or two; np.percentile's linear method.
+        half, odd = divmod(delivered, 2)
+        at = 0.99 * (delivered - 1)
+        i, gamma = int(at), at - int(at)
+        below, middle, a, b = _order_statistics(
+            log, hist, [half - 1 + odd, half, i, min(i + 1, delivered - 1)])
+        median_lat = middle if odd else (below + middle) / 2
+        p99_lat = b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma
     else:
         mean_lat = median_lat = p99_lat = 0.0
+    # Left to right, as FlightTrace.centroid sums, carrying the sum from chunk to chunk.
+    acc = snr[:0]
+    for s0 in range(0, len(snr), _SUMMARY_ROWS):
+        acc = np.add.accumulate(np.concatenate((acc[-1:], snr[s0:s0 + _SUMMARY_ROWS])))
     return Summary(
         generated=n,
         delivered=delivered,
@@ -489,9 +501,121 @@ def summarize(log: MetricsLog) -> Summary:
         p99_latency_s=p99_lat,
         loss_fraction=(dropped_buffer + dropped_harq) / n if n else 0.0,
         min_snr_db=float(snr.min()) if len(snr) else 0.0,
-        # Left to right, as FlightTrace.centroid sums.
-        mean_snr_db=float(np.add.accumulate(snr)[-1]) / len(snr) if len(snr) else 0.0,
+        mean_snr_db=float(acc[-1]) / len(snr) if len(snr) else 0.0,
     )
+
+
+def _latencies(log: MetricsLog):
+    """The delivered packets' latencies, one chunk of packets at a time: bit for bit
+    ``t_deliver - t_gen`` of ``log.columns``, without forming either column. A chunk's
+    temporaries are freed before it is yielded."""
+    return (_chunk_latencies(log, r0) for r0 in range(0, log.n_packets, _SUMMARY_ROWS))
+
+
+def _chunk_latencies(log: MetricsLog, r0: int) -> np.ndarray:
+    slot = log.config.profile.slot_duration
+    idx = np.flatnonzero(log.outcome[r0:r0 + _SUMMARY_ROWS] == DELIVERED)
+    lat = log.deliver_slot[r0:r0 + _SUMMARY_ROWS][idx] * slot
+    lat += slot
+    idx += r0
+    t_gen = idx.astype(np.float64)
+    t_gen *= log.config.interarrival
+    lat -= t_gen
+    return lat
+
+
+def _taker(chunks):
+    """``take(k)``: the next ``k`` values of the arrays that ``chunks`` yields. Only a copy
+    of a chunk's last values is held while the next chunk is built."""
+    rest = np.zeros(0)
+
+    def take(k: int) -> np.ndarray:
+        nonlocal rest
+        parts = []
+        while len(rest) < k:
+            parts.append(rest.copy())
+            k -= len(rest)
+            rest = None  # frees the chunk before the next is built
+            rest = next(chunks)
+        parts.append(rest[:k])
+        rest = rest[k:]
+        return np.concatenate(parts) if len(parts) > 1 else parts[0]
+
+    return take
+
+
+# Fewer than _CARRY latencies of a chunk are held while the next chunk is built: the
+# pairwise sum's nodes and the selection's unmerged latencies are at most this many.
+_CARRY = 4096
+
+
+def _pairwise_sum(n: int, take) -> float:
+    """``np.add.reduce`` of the next ``n`` values of ``take``, bit for bit: numpy's pairwise
+    sum splits a node of n values at ``n // 2`` rounded down to a multiple of 8, and so
+    does this, down to nodes of at most ``_CARRY`` values."""
+    if n <= _CARRY:
+        return float(np.add.reduce(take(n)))
+    h = n // 2 - n // 2 % 8
+    return _pairwise_sum(h, take) + _pairwise_sum(n - h, take)
+
+
+# A positive float's int64 bit pattern orders as the float does. A latency's bin is
+# its bit pattern >> _BIN_SHIFT: 2**10 bins a binade, each about 0.1 % wide.
+_BIN_SHIFT = 52 - 10
+
+
+class _Histogram:
+    """Counts of positive latencies per bin, ``counts[b - base]`` for bin ``b``; the range
+    grows to cover each chunk added."""
+
+    def __init__(self):
+        self.base, self.counts = 0, np.zeros(0, np.int64)
+
+    def add(self, lat: np.ndarray) -> np.ndarray:
+        if len(lat):
+            bins = lat.view(np.int64) >> _BIN_SHIFT
+            lo, hi = int(bins.min()), int(bins.max())
+            if not len(self.counts):
+                self.base = lo
+            end = self.base + len(self.counts)
+            if lo < self.base or hi >= end:
+                self.counts = np.pad(self.counts, (max(self.base - lo, 0), max(hi + 1 - end, 0)))
+                self.base = min(lo, self.base)
+            self.counts[lo - self.base:hi + 1 - self.base] += np.bincount(bins - lo)
+        return lat
+
+
+def _order_statistics(log: MetricsLog, hist: _Histogram, ranks: list[int]) -> list[float]:
+    """The latencies of 0-based ``ranks`` in ascending order, exactly. A second stream keeps
+    only the latencies of the bins that hold a wanted rank, as distinct values and counts."""
+    cum = np.cumsum(hist.counts)
+    bins = np.searchsorted(cum, ranks, side="right")
+    wanted = np.zeros(len(cum), bool)
+    wanted[bins] = True
+    # A rank's place among the kept latencies: less those in lower bins not kept.
+    places = np.array(ranks) - np.cumsum(np.where(wanted, 0, hist.counts))[bins]
+    values, counts, pending, held = np.zeros(0), np.zeros(0, np.int64), [], 0
+
+    def merge():
+        nonlocal values, counts, held
+        new, new_counts = np.unique(np.concatenate(pending), return_counts=True)
+        pending.clear()
+        held = 0
+        merged = np.union1d(values, new)
+        merged_counts = np.zeros(len(merged), np.int64)
+        merged_counts[np.searchsorted(merged, values)] = counts
+        merged_counts[np.searchsorted(merged, new)] += new_counts
+        values, counts = merged, merged_counts
+
+    for lat in _latencies(log):
+        pending.append(lat[wanted[(lat.view(np.int64) >> _BIN_SHIFT) - hist.base]])
+        held += len(pending[-1])
+        del lat  # hold no chunk, and fewer than _CARRY kept latencies, while the next is built
+        if held >= _CARRY:
+            merge()
+    if held:
+        merge()
+    return values[np.searchsorted(np.cumsum(counts), places, side="right")].tolist()
 
 
 _POW10 = (10 ** np.arange(19)).astype(np.float64)  # exact doubles: 5**18 < 2**53

@@ -12,7 +12,9 @@ Each side runs, in a fresh process from its own ``src/``, the three commands of
 ``perfbench/run.py``'s workloads at seeds 0 and 13, the sweep matrix again at
 ``--workers 1`` (its cells in process, not in a pool) at both seeds, an LTE ``simulate``
 at 100 Mb/s from the distant placement over 10 s at both seeds (saturated: buffer drops
-and HARQ retransmissions in its packet CSV), one more matrix,
+and HARQ retransmissions in its packet CSV), a 1x1 mmWave ``simulate`` at 10 Mb/s from the
+distant placement over 0.5 s at both seeds (no packet is delivered, so it pins the
+summary of an empty latency sample), one more matrix,
 the sweep matrix's axes with ``--antennas 64X16,16x4 --packet-logs`` over a 2 s
 window, and ``synth-trace`` of each mission kind at seed 13 over 20 000 s (three
 8192-row chunks of the trace writer). Both sides run the commands of this checkout's
@@ -58,6 +60,10 @@ def commands() -> dict[str, list[str]]:
                               placements=("distant-2km",))
     for seed in SEEDS:
         runs[f"lte-100mbps-distant-2km-s{seed}"] = lte.cli_args(seed, out)
+    undelivered = dataclasses.replace(WORKLOADS["gigabit-orbit"], antennas=("1x1",),
+                                      rates_mbps=("10",), placements=("distant-2km",))
+    for seed in SEEDS:
+        runs[f"nothing-delivered-s{seed}"] = undelivered.cli_args(seed, out, window_s=0.5)
     args = sweep.cli_args(SEEDS[0], out, window_s=2.0)
     args[args.index("--antennas") + 1] = "64X16,16x4"
     runs["matrix-64X16-packet-logs-s0"] = args + ["--packet-logs"]
