@@ -50,7 +50,7 @@ SAMPLE_DTYPE = np.dtype([(name, np.float64) for name in (
 
 _T_EPS = 1e-9
 _CHUNK_SLOTS = 2048  # channel-stage chunk; its temporaries add to peak RSS (4096: +2.8 %)
-_SUMMARY_ROWS = 32768  # rows per chunk of summarize (8192: 1.2x its time over the sweep cells)
+_SUMMARY_ROWS = 32768  # rows per chunk of summarize (8192: 1.3x its time over the sweep cells)
 
 
 def bs_position_for(trace: FlightTrace, placement: str) -> tuple[float, float, float]:
@@ -474,7 +474,8 @@ def summarize(log: MetricsLog) -> Summary:
     throughput = float(delivered * _packet_bits(log.config)) / window if window > 0 else 0.0
     if delivered:
         hist = _Histogram()
-        mean_lat = _pairwise_sum(delivered, _taker(map(hist.add, _latencies(log)))) / delivered
+        mean_lat = _pairwise_sum(delivered, _taker(  # its buffers go as the sum ends
+            hist.add(lat, bins) for lat, bins in _latencies(log))) / delivered
         # np.median's mean of the middle one or two; np.percentile's linear method.
         half, odd = divmod(delivered, 2)
         at = 0.99 * (delivered - 1)
@@ -506,22 +507,21 @@ def summarize(log: MetricsLog) -> Summary:
 
 
 def _latencies(log: MetricsLog):
-    """The delivered packets' latencies, one chunk of packets at a time: bit for bit
-    ``t_deliver - t_gen`` of ``log.columns``, without forming either column. A chunk's
-    temporaries are freed before it is yielded."""
-    return (_chunk_latencies(log, r0) for r0 in range(0, log.n_packets, _SUMMARY_ROWS))
-
-
-def _chunk_latencies(log: MetricsLog, r0: int) -> np.ndarray:
-    slot = log.config.profile.slot_duration
-    idx = np.flatnonzero(log.outcome[r0:r0 + _SUMMARY_ROWS] == DELIVERED)
-    lat = log.deliver_slot[r0:r0 + _SUMMARY_ROWS][idx] * slot
-    lat += slot
-    idx += r0
-    t_gen = idx.astype(np.float64)
-    t_gen *= log.config.interarrival
-    lat -= t_gen
-    return lat
+    """The delivered packets' latencies, one chunk of packets at a time, with their bins
+    (``_BIN_SHIFT``): bit for bit ``t_deliver - t_gen`` of ``log.columns``, without forming
+    either column. Every chunk is written into the same buffers, made once, so a consumer
+    copies what it keeps of a chunk before it asks for the next."""
+    slot, interarrival = log.config.profile.slot_duration, log.config.interarrival
+    lat, t_gen = np.empty(_SUMMARY_ROWS), np.empty(_SUMMARY_ROWS)
+    bins = np.empty(_SUMMARY_ROWS, np.int64)
+    for r0 in range(0, log.n_packets, _SUMMARY_ROWS):
+        idx = np.flatnonzero(log.outcome[r0:r0 + _SUMMARY_ROWS] == DELIVERED)
+        k = len(idx)
+        x = np.multiply(log.deliver_slot[r0:r0 + _SUMMARY_ROWS][idx], slot, out=lat[:k])
+        x += slot
+        idx += r0
+        x -= np.multiply(idx, interarrival, out=t_gen[:k])
+        yield x, np.right_shift(x.view(np.int64), _BIN_SHIFT, out=bins[:k])
 
 
 def _taker(chunks):
@@ -535,7 +535,6 @@ def _taker(chunks):
         while len(rest) < k:
             parts.append(rest.copy())
             k -= len(rest)
-            rest = None  # frees the chunk before the next is built
             rest = next(chunks)
         parts.append(rest[:k])
         rest = rest[k:]
@@ -571,9 +570,9 @@ class _Histogram:
     def __init__(self):
         self.base, self.counts = 0, np.zeros(0, np.int64)
 
-    def add(self, lat: np.ndarray) -> np.ndarray:
+    def add(self, lat: np.ndarray, bins: np.ndarray) -> np.ndarray:
+        """Counts ``lat``, whose ``bins`` it overwrites, and returns it."""
         if len(lat):
-            bins = lat.view(np.int64) >> _BIN_SHIFT
             lo, hi = int(bins.min()), int(bins.max())
             if not len(self.counts):
                 self.base = lo
@@ -581,7 +580,8 @@ class _Histogram:
             if lo < self.base or hi >= end:
                 self.counts = np.pad(self.counts, (max(self.base - lo, 0), max(hi + 1 - end, 0)))
                 self.base = min(lo, self.base)
-            self.counts[lo - self.base:hi + 1 - self.base] += np.bincount(bins - lo)
+            bins -= lo
+            self.counts[lo - self.base:hi + 1 - self.base] += np.bincount(bins)
         return lat
 
 
@@ -607,10 +607,9 @@ def _order_statistics(log: MetricsLog, hist: _Histogram, ranks: list[int]) -> li
         merged_counts[np.searchsorted(merged, new)] += new_counts
         values, counts = merged, merged_counts
 
-    for lat in _latencies(log):
-        pending.append(lat[wanted[(lat.view(np.int64) >> _BIN_SHIFT) - hist.base]])
+    for lat, lat_bins in _latencies(log):
+        pending.append(lat[wanted[np.subtract(lat_bins, hist.base, out=lat_bins)]])
         held += len(pending[-1])
-        del lat  # hold no chunk, and fewer than _CARRY kept latencies, while the next is built
         if held >= _CARRY:
             merge()
     if held:

@@ -514,8 +514,14 @@ def assert_streamed_statistics(monkeypatch, lat, chunk):
     """summarize's mean, median and p99 of latencies ``lat``, streamed ``chunk`` values at a
     time, are numpy's, bit for bit. This fails if numpy changes its summation or its
     quantile arithmetic."""
-    monkeypatch.setattr(simulation, "_latencies",
-                        lambda log: (lat[r0:r0 + chunk] for r0 in range(0, len(lat), chunk)))
+    def chunks(log):  # into one buffer, overwritten by each chunk, as _latencies does
+        buf, bins = np.empty(chunk), np.empty(chunk, np.int64)
+        for r0 in range(0, len(lat), chunk):
+            x = buf[:len(lat[r0:r0 + chunk])]
+            x[:] = lat[r0:r0 + chunk]
+            yield x, np.right_shift(x.view(np.int64), simulation._BIN_SHIFT, out=bins[:len(x)])
+
+    monkeypatch.setattr(simulation, "_latencies", chunks)
     s = summarize(manual_log(np.zeros(len(lat)), np.full(len(lat), DELIVERED)))
     assert s.delivered == len(lat)
     assert s.mean_latency_s == float(np.mean(lat))
@@ -878,9 +884,10 @@ class TestConfigValidation:
             else:
                 assert summarize(run(dataclasses.replace(cfg))).generated == 834
 
-    # What run_bytes leaves out: the chunk temporaries of the channel and MAC stages and
-    # of summarize, and one-time caches. Measured at 0.3-1.7 MB for these three cells.
-    CHUNK_ALLOWANCE = 2_000_000  # bytes
+    # What run_bytes leaves out: the chunk temporaries of the channel and MAC stages, the
+    # buffers and chunk temporaries of summarize (about 1 MB), and one-time caches and
+    # imports. Measured at 0.6-2.3 MB over run_bytes for these three cells.
+    CHUNK_ALLOWANCE = 3_000_000  # bytes
 
     @pytest.mark.parametrize("cell", ["gigabit_o64_1s", "saturated_lte_distant_10s",
                                       "lawnmower_10mbps_30s"])
