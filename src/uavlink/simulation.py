@@ -608,7 +608,8 @@ def _order_statistics(log: MetricsLog, hist: _Histogram, ranks: list[int]) -> li
         values, counts = merged, merged_counts
 
     for lat, lat_bins in _latencies(log):
-        pending.append(lat[wanted[np.subtract(lat_bins, hist.base, out=lat_bins)]])
+        lat_bins -= hist.base
+        pending.append(lat[wanted[lat_bins]])
         held += len(pending[-1])
         if held >= _CARRY:
             merge()
