@@ -4,7 +4,6 @@ BS placements, with report emission for the whole grid."""
 from __future__ import annotations
 
 import csv
-import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -14,7 +13,7 @@ from pathlib import Path
 
 from .beamforming import parse_antenna_combo
 from .missions import MissionArchetype, synth_trace
-from .mobility import FlightTrace, read_csv
+from .mobility import FlightTrace, read_csv, usable_cpus
 from .phy import profile_by_name
 from .simulation import (
     ScenarioConfig,
@@ -227,13 +226,6 @@ def split_groups(groups, workers: int) -> list[list]:
         large = jobs.pop(max(range(len(jobs)), key=lambda i: len(jobs[i])))
         jobs += [large[:len(large) // 2], large[len(large) // 2:]]
     return jobs
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def pool_size(workers: int, cells: int, cell_bytes: float) -> int:

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import csv
 import math
-from contextlib import contextmanager
+import multiprocessing
+import os
+import shutil
+import tempfile
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -157,15 +161,75 @@ def read_csv(path, header: tuple[str, ...], error: type[ValueError] = ValueError
         raise error(f"{path}: {exc}") from None
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def chunk_writers(n_chunks: int) -> int:
+    """Processes that write a file of ``n_chunks`` chunks: the fewer of the chunks and
+    ``usable_cpus``, and 1 in a ``multiprocessing`` worker (a matrix pool's), whose pool
+    already keeps the CPUs busy."""
+    if multiprocessing.parent_process():
+        return 1
+    return max(1, min(usable_cpus(), n_chunks))
+
+
+def write_chunks(path, header: bytes, n_rows: int, chunk) -> None:
+    """Write ``header``, then ``chunk(s0)``, the bytes of rows ``s0`` to ``s0 + _WRITE_ROWS``,
+    for each ``s0`` in order. The chunks are split into W = ``chunk_writers`` contiguous
+    groups: this process writes the first, and W - 1 forked children one each into a
+    temporary file, appended once every child has exited. A child inherits what ``chunk``
+    reads, so nothing is pickled; ``chunk`` must call no BLAS (fork safety)."""
+    starts = range(0, n_rows, _WRITE_ROWS)
+    n = chunk_writers(len(starts))
+    groups = [starts[len(starts) * g // n:len(starts) * (g + 1) // n] for g in range(n)]
+    with open(path, "wb") as fh, ExitStack() as stack:
+        parts = [stack.enter_context(tempfile.TemporaryFile(dir=os.path.dirname(
+            os.path.abspath(path)))) for _ in groups[1:]]
+        pids = []
+        try:
+            for group, part in zip(groups[1:], parts):
+                pids.append(os.fork())
+                if not pids[-1]:  # the child: its group, then out past the parent's cleanup
+                    status = 1
+                    try:
+                        for s0 in group:
+                            part.write(chunk(s0))
+                        part.flush()
+                        status = 0
+                    except BaseException as exc:  # exits anyway: its message, not its rows
+                        os.ftruncate(part.fileno(), 0)
+                        os.pwrite(part.fileno(), f"{type(exc).__name__}: {exc}".encode(), 0)
+                    finally:
+                        os._exit(status)
+            fh.write(header)
+            for s0 in groups[0]:
+                fh.write(chunk(s0))
+        finally:
+            statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        for group, part, status in zip(groups[1:], parts, statuses):
+            part.seek(0)
+            if status:  # 1, with the child's message, or a signal's negated number
+                why = part.read(1000).decode(errors="replace") if status > 0 else (
+                    f"signal {-status}")
+                raise OSError(f"{path}: the child process writing from row {group[0]} "
+                              f"failed: {why}")
+            shutil.copyfileobj(part, fh)
+
+
 def write_csv(path, header: tuple[str, ...], n_rows: int, chunk) -> None:
     """Write ``header`` and ``n_rows`` rows of floats as ``csv.writer`` writes them (repr),
-    ``_WRITE_ROWS`` at a time; ``chunk(rows)`` gives the columns of the slice ``rows``."""
+    by ``write_chunks``; ``chunk(rows)`` gives the columns of the slice ``rows``."""
     line = ",".join(["{}"] * len(header)) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for s0 in range(0, n_rows, _WRITE_ROWS):
-            cols = chunk(slice(s0, s0 + _WRITE_ROWS))
-            fh.write("".join(map(line.format, *(c.tolist() for c in cols))))
+
+    def text(s0: int) -> bytes:
+        cols = chunk(slice(s0, s0 + _WRITE_ROWS))
+        return "".join(map(line.format, *(c.tolist() for c in cols))).encode("ascii")
+
+    write_chunks(path, (",".join(header) + "\r\n").encode(), n_rows, text)
 
 
 def write_trace_csv(trace: FlightTrace, path) -> None:

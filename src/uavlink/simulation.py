@@ -22,7 +22,7 @@ from .beamforming import (
     array_basis,
 )
 from .channel import ShadowingField, doppler_shift, fspl_db, noise_floor_dbm
-from .mobility import _WRITE_ROWS, FlightTrace, TrajectorySampler, write_csv
+from .mobility import _WRITE_ROWS, FlightTrace, TrajectorySampler, write_chunks, write_csv
 from .phy import Outcome, RatProfile, TransportBlock, harq_step
 
 DEFAULT_BS_HEIGHT = 25.0  # m
@@ -666,25 +666,35 @@ def write_packet_log(log: MetricsLog, path) -> None:
     byte matrix, a row per line and a field in columns of its own, its 0 bytes dropped."""
     bits = _packet_bits(log.config)
     tails = np.array([[f",{bits},{o}\r\n"] for o in OUTCOME_NAMES], "S").view(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write((",".join(PACKET_CSV_HEADER) + "\r\n").encode())
-        for s0 in range(0, log.n_packets, _WRITE_ROWS):
-            rows = slice(s0, s0 + _WRITE_ROWS)
-            seq = np.arange(s0, min(s0 + _WRITE_ROWS, log.n_packets))
-            t_gen, t_deliver = log.columns(s0, s0 + _WRITE_ROWS)
-            gen_width, put_gen = _float_field(t_gen)
-            # A slot delivers at one time, so format each distinct time once.
-            t_del, inverse = np.unique(t_deliver, return_inverse=True)
-            del_width, put_del = _float_field(t_del)
-            put_del(t_del := np.zeros((len(t_del), del_width), np.uint8))
-            edges = np.cumsum([0, len(str(seq[-1])), 1, gen_width, 1, del_width, tails.shape[1]])
-            mat = np.zeros((len(seq), edges[-1]), np.uint8)
-            _digits(mat[:, :edges[1]], seq)
-            mat[:, edges[1]] = mat[:, edges[3]] = ord(",")
-            put_gen(mat[:, edges[2]:edges[3]])
-            np.take(t_del, inverse, axis=0, out=mat[:, edges[4]:edges[5]], mode="clip")
-            np.take(tails, log.outcome[rows], axis=0, out=mat[:, edges[5]:], mode="clip")
-            fh.write(mat[mat != 0])
+    # The byte matrix and its mask, made once for all the chunks a process writes. Made
+    # afresh, glibc returned them to the system after each chunk, and the page faults of
+    # two writer processes taking them back slowed both.
+    bufs = []
+
+    def chunk(s0: int) -> np.ndarray:
+        rows = slice(s0, s0 + _WRITE_ROWS)
+        seq = np.arange(s0, min(s0 + _WRITE_ROWS, log.n_packets))
+        t_gen, t_deliver = log.columns(s0, s0 + _WRITE_ROWS)
+        gen_width, put_gen = _float_field(t_gen)
+        # A slot delivers at one time, so format each distinct time once.
+        t_del, inverse = np.unique(t_deliver, return_inverse=True)
+        del_width, put_del = _float_field(t_del)
+        put_del(t_del := np.zeros((len(t_del), del_width), np.uint8))
+        edges = np.cumsum([0, len(str(seq[-1])), 1, gen_width, 1, del_width, tails.shape[1]])
+        size = len(seq) * int(edges[-1])
+        if not bufs or len(bufs[0]) < size:
+            bufs.clear()  # the old ones go before the new are made
+            bufs.extend([np.empty(size, np.uint8), np.empty(size, bool)])
+        mat = bufs[0][:size].reshape(len(seq), -1)
+        mat.fill(0)
+        _digits(mat[:, :edges[1]], seq)
+        mat[:, edges[1]] = mat[:, edges[3]] = ord(",")
+        put_gen(mat[:, edges[2]:edges[3]])
+        np.take(t_del, inverse, axis=0, out=mat[:, edges[4]:edges[5]], mode="clip")
+        np.take(tails, log.outcome[rows], axis=0, out=mat[:, edges[5]:], mode="clip")
+        return mat[np.not_equal(mat, 0, out=bufs[1][:size].reshape(mat.shape))]
+
+    write_chunks(path, (",".join(PACKET_CSV_HEADER) + "\r\n").encode(), log.n_packets, chunk)
 
 
 def write_snr_trace(log: MetricsLog, path) -> None:

@@ -1,8 +1,9 @@
+import os
 from concurrent.futures import Future
 
 import pytest
 
-from uavlink import campaign, simulation
+from uavlink import campaign, mobility, simulation
 from uavlink.campaign import (
     ReportRow,
     RunMatrix,
@@ -178,6 +179,33 @@ class TestRunMatrix:
         for f in sorted(serial.iterdir()):
             assert (pooled / f.name).read_bytes() == f.read_bytes(), f.name
 
+    def test_pool_workers_write_each_csv_in_one_process(self, tmp_path, monkeypatch):
+        # Each process records the writer count W of each file it writes in a file, as
+        # the pool's forked workers inherit the patch but not this process's memory.
+        record, chunk_writers = tmp_path / "writers.txt", mobility.chunk_writers
+
+        def recorded(n_chunks):
+            count = chunk_writers(n_chunks)
+            with open(record, "a") as fh:
+                fh.write(f"{os.getpid()} {n_chunks} {count}\n")
+            return count
+
+        monkeypatch.setattr(mobility, "chunk_writers", recorded)
+        monkeypatch.setattr(mobility, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(campaign, "usable_cpus", lambda: 2)
+        matrix = small_matrix(profiles=["mmwave"], source_rates=[1000e6], sim_window=0.25)
+        for workers in (2, 1):
+            rows, errors = run_matrix(matrix, tmp_path / f"w{workers}", workers=workers,
+                                      packet_logs=True)
+            assert (len(rows), errors) == (2, [])
+        lines = [line.split() for line in record.read_text().splitlines()]
+        pooled = [(int(n), int(w)) for pid, n, w in lines if int(pid) != os.getpid()]
+        in_process = [(int(n), int(w)) for pid, n, w in lines if int(pid) == os.getpid()]
+        assert sorted(pooled) == [(1, 1), (1, 1), (3, 1), (3, 1)]  # SNR and packet CSVs
+        assert sorted(in_process) == [(1, 1), (1, 1), (3, 3), (3, 3)]
+        for f in sorted((tmp_path / "w1").iterdir()):
+            assert (tmp_path / "w2" / f.name).read_bytes() == f.read_bytes(), f.name
+
     def test_one_trace_synthesis_per_mission(self, tmp_path, monkeypatch):
         calls = []
 
@@ -340,8 +368,8 @@ class TestPoolSize:
 
     def test_capped_by_the_cpus_this_process_may_run_on(self, monkeypatch):
         # As under ``taskset -c 0`` on a larger host: one CPU in the affinity mask.
-        monkeypatch.setattr(campaign.os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(campaign.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(mobility.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(mobility.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert campaign.usable_cpus() == 1
         assert pool_size(2, 24, 1.0) == 1
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from uavlink import campaign
+from uavlink import campaign, mobility, simulation
 from uavlink.campaign import REPORT_CSV_HEADER
 from uavlink.cli import main
 from uavlink.missions import archetype_by_name
@@ -100,6 +100,29 @@ def test_matrix_and_report(tmp_path, capsys):
     rc = main(["report", "--out", str(tmp_path)])
     assert rc == 0
     assert capsys.readouterr().out == table
+
+
+def test_a_failed_writer_child_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # The 0.2 s gigabit packet CSV has three chunks; with two CPUs a forked child
+    # formats the last two, and here it fails while the parent's own chunk succeeds.
+    parent, float_field = os.getpid(), simulation._float_field
+
+    def failing(x):
+        if os.getpid() != parent:
+            raise ValueError("no text for these floats")
+        return float_field(x)
+
+    monkeypatch.setattr(mobility, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(simulation, "_float_field", failing)
+    rc = main(["simulate", "--mission", "overwatch-orbit", "--rate-mbps", "1000",
+               "--window-s", "0.2", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == (f"error: {tmp_path / 'overwatch_orbit_packets.csv'}: the child process "
+                   "writing from row 8192 failed: ValueError: no text for these floats\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.listdir(tmp_path) == ["overwatch_orbit_packets.csv"]
 
 
 def test_unknown_mission_exits_nonzero(tmp_path, capsys):

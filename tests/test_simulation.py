@@ -1,8 +1,11 @@
 import builtins
+import contextlib
 import csv
 import dataclasses
 import math
+import os
 import random
+import signal
 import tracemalloc
 from types import SimpleNamespace
 
@@ -19,12 +22,18 @@ from channel_oracle import (
     interp_positions,
 )
 from mac_oracle import columns_of
-from uavlink import simulation
+from uavlink import mobility, simulation
 from uavlink.beamforming import DEFAULT_UPDATE_PERIOD, ArrayConfig, array_basis
 from uavlink.campaign import build_scenario
 from uavlink.channel import ShadowingField, fspl_db, noise_floor_dbm
 from uavlink.missions import MissionArchetype, synth_trace
-from uavlink.mobility import FlightTrace, GeoPoint
+from uavlink.mobility import (
+    TRACE_CSV_HEADER,
+    FlightTrace,
+    GeoPoint,
+    write_trace_csv,
+    xy_to_latlon,
+)
 from uavlink.phy import BLER_MAX, PROFILES, Outcome, bler
 from uavlink.simulation import (
     DEFAULT_BUFFER_LIMIT,
@@ -847,6 +856,151 @@ class TestCsvLogs:
         write_snr_trace(quick_log, path)
         header = path.read_text().splitlines()[0]
         assert header == "t_s,distance_m,snr_db,tx_gain_db,rx_gain_db"
+
+
+@pytest.fixture
+def writers(monkeypatch):
+    """Sets the CPUs the CSV writers see; the list of each file's writer count, W."""
+    counts = []
+
+    def recorded(n_chunks, count=mobility.chunk_writers):
+        counts.append(count(n_chunks))
+        return counts[-1]
+
+    def use(cpus):
+        monkeypatch.setattr(mobility, "usable_cpus", lambda: cpus)
+        return counts
+
+    monkeypatch.setattr(mobility, "chunk_writers", recorded)
+    return use
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def deadline(seconds=60):
+    """Fails a test that would hang, e.g. on a child never reaped."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def snr_log(n, seed=5):
+    rng = np.random.default_rng(seed)
+    rec = np.recarray(n, dtype=SAMPLE_DTYPE)
+    for name in SAMPLE_DTYPE.names:
+        rec[name] = rng.normal(0.0, 30.0, n)
+    rec.snr[:len(ODD_FLOATS)] = ODD_FLOATS[:n]
+    rec.tx_gain[:len(ODD_FLOATS)] = np.negative(ODD_FLOATS[:n])
+    return dataclasses.replace(manual_log([], []), snr_series=rec)
+
+
+def odd_packet_log(n):
+    log = given_columns(gigabit_pattern_log(n))
+    log.t_gen[:len(ODD_FLOATS)] = ODD_FLOATS[:n]
+    log.t_deliver[-len(ODD_FLOATS):] = ODD_FLOATS[-n:]
+    return log
+
+
+def oracle_write_trace_csv(trace, path):
+    """The trace CSV as csv.writer writes it, the reference for its bytes."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRACE_CSV_HEADER)
+        lat, lon = xy_to_latlon(trace.x, trace.y, trace.origin)
+        writer.writerows(_rows(trace.t, lat, lon, trace.z))
+
+
+def rows_trace(n):
+    rng = np.random.default_rng(n)
+    x, y, z = rng.normal(0.0, 900.0, (3, n))
+    return FlightTrace(GeoPoint(0.0, 30.0, -97.0, 25.0), np.cumsum(rng.uniform(0.01, 2.0, n)),
+                       x, y, np.abs(z))
+
+
+ROWS = simulation._WRITE_ROWS
+# Rows of each file: none, one chunk, two chunks (fewer than three workers), and three
+# chunks, the last partial (a count that two workers do not divide).
+SIZES = {"empty": 0, "one_chunk": 1000, "two_chunks": ROWS + 5, "three_chunks": 2 * ROWS + 1234}
+
+
+class TestParallelWriters:
+    """Each CSV writer writes the same bytes whatever the number of processes, W, that
+    format its chunks, and leaves no child process behind."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("size", sorted(SIZES))
+    def test_packet_log(self, tmp_path, writers, cpus, size):
+        n = SIZES[size]
+        log = odd_packet_log(n) if n else manual_log([], [])
+        counts = writers(cpus)
+        assert_same_bytes(write_packet_log, oracle_write_packet_log, log, tmp_path)
+        assert_no_child_left()
+        assert counts == [max(1, min(cpus, math.ceil(n / ROWS)))]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("size", sorted(SIZES))
+    def test_snr_trace(self, tmp_path, writers, cpus, size):
+        counts = writers(cpus)
+        assert_same_bytes(write_snr_trace, oracle_write_snr_trace, snr_log(SIZES[size]),
+                          tmp_path)
+        assert_no_child_left()
+        assert counts == [max(1, min(cpus, math.ceil(SIZES[size] / ROWS)))]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("size", ["one_chunk", "three_chunks"])
+    def test_trace_csv(self, tmp_path, writers, cpus, size):
+        trace = rows_trace(SIZES[size])
+        counts = writers(cpus)
+        write_trace_csv(trace, tmp_path / "got.csv")
+        assert_no_child_left()
+        oracle_write_trace_csv(trace, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert counts == [min(cpus, math.ceil(SIZES[size] / ROWS))]
+
+    @pytest.mark.parametrize("name", ["gigabit_orbit_1s", "t_gen_all_17_digits"])
+    def test_packet_logs_over_three_workers(self, tmp_path, writers, name):
+        counts = writers(3)
+        assert_same_bytes(write_packet_log, oracle_write_packet_log, PACKET_LOGS[name](), tmp_path)
+        assert_no_child_left()
+        assert counts[0] >= 2
+
+    @pytest.mark.parametrize("failing", ["child", "parent", "killed child"])
+    def test_a_failed_chunk_is_an_error_and_leaves_nothing_behind(self, tmp_path, writers,
+                                                                  failing):
+        writers(3)
+        parent = os.getpid()
+        fail_at = 0 if failing == "parent" else 2 * ROWS
+
+        def chunk(s0):
+            if s0 == fail_at:
+                if failing == "killed child":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise ValueError(f"no row {s0} in {'this' if os.getpid() == parent else 'a'} "
+                                 "process")
+            return b"row\r\n" * min(ROWS, 3 * ROWS - s0)
+
+        path = tmp_path / "out.csv"
+        want = {"child": f"{path}: the child process writing from row {2 * ROWS} failed: "
+                         f"ValueError: no row {2 * ROWS} in a process",
+                "killed child": f"{path}: the child process writing from row {2 * ROWS} "
+                                f"failed: signal {signal.SIGKILL.value}",
+                "parent": "no row 0 in this process"}[failing]
+        with deadline(), pytest.raises(OSError if "child" in failing else ValueError) as err:
+            mobility.write_chunks(path, b"header\r\n", 3 * ROWS, chunk)
+        assert str(err.value) == want
+        assert_no_child_left()
+        assert os.listdir(tmp_path) == ["out.csv"]
 
 
 class TestConfigValidation:

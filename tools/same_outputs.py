@@ -148,6 +148,8 @@ def main(argv=None) -> int:
     parser.add_argument("head", nargs="?")
     parser.add_argument("--work", help="directory for the worktrees and outputs")
     args = parser.parse_args(argv)
+    if args.work is not None and not os.path.isdir(args.work):
+        parser.error(f"--work {args.work}: no such directory")
     revs = {"BASE": git("rev-parse", "--verify", f"{args.base}^{{commit}}"),
             "HEAD": git("rev-parse", "--verify", f"{args.head}^{{commit}}") if args.head
             else git("stash", "create") or git("rev-parse", "HEAD")}
